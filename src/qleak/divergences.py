@@ -79,6 +79,8 @@ class ProbVector:
         p = np.asarray(self.probs, dtype=np.float64).reshape(-1)
         if p.size == 0:
             raise ValidationError("empty probability vector")
+        if not np.all(np.isfinite(p)):
+            raise ValidationError("probability vector has a non-finite entry")
         if float(np.min(p)) < -_PROB_ATOL:
             raise ValidationError(f"negative probability {float(np.min(p)):.3e}")
         total = float(np.sum(p))

@@ -14,7 +14,7 @@ class ValidationError(QleakError, ValueError):
 
 
 class EigenSolverError(QleakError, RuntimeError):
-    """The iterative eigensolver failed to reach its convergence threshold."""
+    """The eigensolver failed, or its output failed the reconstruction check."""
 
 
 class LpSolverError(QleakError, RuntimeError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LpSolverError, ValidationError
-from .linalg import DensityOperator, HermitianOperator, eig_hermitian
+from .linalg import DensityOperator, HermitianOperator, Spectrum, eig_hermitian
 from .simplex import STATUS_OPTIMAL, resume_phase2, solve_standard_form
 
 FORM_WEIGHTS = "weights"
@@ -139,19 +139,24 @@ def _point_matrix(program: LmiProgram, point) -> np.ndarray:
     return HermitianOperator(np.asarray(point, dtype=np.complex128)).mat
 
 
+def _lmi_spectra(program: LmiProgram, a: np.ndarray) -> list[Spectrum]:
+    """Spectrum of a - rho_x for every constraint state, in state order."""
+    return [eig_hermitian(HermitianOperator(a - s.mat)) for s in program.states]
+
+
+def _worst_eigenvalue(spectra: list[Spectrum]) -> float:
+    """Most negative LMI eigenvalue, or 0 when every LMI holds."""
+    return min(0.0, *(spec.min for spec in spectra))
+
+
 def violation_certificate(program: LmiProgram, point):
     """Worst LMI at a primal point: (state index, min eigenvalue, eigenvector).
 
     A min eigenvalue at or above -FEAS_TOL certifies feasibility.
     """
-    a = _point_matrix(program, point)
-    worst = None
-    for idx, state in enumerate(program.states):
-        spec = eig_hermitian(HermitianOperator(a - state.mat))
-        lam = float(spec.eigenvalues[0])
-        if worst is None or lam < worst[1]:
-            worst = (idx, lam, spec.eigenvectors[:, 0].copy())
-    return worst
+    spectra = _lmi_spectra(program, _point_matrix(program, point))
+    idx = min(range(len(spectra)), key=lambda i: spectra[i].min)
+    return idx, spectra[idx].min, spectra[idx].eigenvectors[:, 0].copy()
 
 
 def _is_feasible_shift(a: np.ndarray, states, scale: float) -> bool:
@@ -255,14 +260,6 @@ def _scale_point(program: LmiProgram, point, factor: float):
     return HermitianOperator(_point_matrix(program, point) * factor)
 
 
-def _worst_residual(program: LmiProgram, a: np.ndarray) -> float:
-    worst = 0.0
-    for state in program.states:
-        spec = eig_hermitian(HermitianOperator(a - state.mat))
-        worst = min(worst, float(spec.eigenvalues[0]))
-    return worst
-
-
 # Safety pad applied when lifting a point onto the cone, covering
 # eigensolver roundoff so the lifted point is feasible outright.
 _LIFT_PAD = 1e-12
@@ -276,7 +273,7 @@ def _certify_point(program: LmiProgram, point, obj: float):
     hole at a cost of at most count * (FEAS_TOL + pad) / mu in objective.
     """
     a = _point_matrix(program, point)
-    worst = _worst_residual(program, a)
+    worst = _worst_eigenvalue(_lmi_spectra(program, a))
     if worst >= 0.0:
         return obj, point
     lift = -worst + _LIFT_PAD
@@ -339,17 +336,15 @@ def solve(
         else:
             obj = float(np.trace(a).real)
 
-        violated: list[tuple[int, np.ndarray]] = []
-        worst = 0.0
-        for idx, state in enumerate(program.states):
-            spec = eig_hermitian(HermitianOperator(a - state.mat))
-            lam = float(spec.eigenvalues[0])
-            worst = min(worst, lam)
-            # Cut along the whole violated eigenspace, not just the most
-            # negative direction; single cuts crawl on rank-deficient states.
-            for k in range(program.dim):
-                if float(spec.eigenvalues[k]) < -FEAS_TOL:
-                    violated.append((idx, spec.eigenvectors[:, k].copy()))
+        spectra = _lmi_spectra(program, a)
+        worst = _worst_eigenvalue(spectra)
+        # Cut along the whole violated eigenspace, not just the most
+        # negative direction; single cuts crawl on rank-deficient states.
+        violated = [
+            (idx, spec.eigenvectors[:, k].copy())
+            for idx, spec in enumerate(spectra)
+            for k in np.flatnonzero(spec.eigenvalues < -FEAS_TOL)
+        ]
 
         if not violated:
             if obj < best_obj:

@@ -152,6 +152,22 @@ def test_validation_failures_exit_two(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_non_finite_state_entry_exits_two(tmp_path):
+    doc = json.loads(_write_pair(tmp_path).read_text())
+    doc["states"][0][0][1] = [math.nan, 0.0]
+    doc["states"][0][1][0] = [math.nan, 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qleak", "leakage", "--input", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_unsupported_delta_exits_two(tmp_path, capsys):
     doc = {
         "ensemble": json.loads(_write_pair(tmp_path).read_text()),

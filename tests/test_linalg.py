@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qleak.errors import DimensionMismatch, ValidationError
+from qleak.divergences import ProbVector
+from qleak.errors import DimensionMismatch, EigenSolverError, ValidationError
 from qleak.linalg import (
     DensityOperator,
     HermitianOperator,
@@ -29,15 +30,61 @@ def _random_hermitian(dim, seed):
     return (g + g.conj().T) / 2.0
 
 
-@settings(deadline=None, max_examples=60)
-@given(dim=st.integers(1, 6), seed=st.integers(0, 10**6))
-def test_eigendecomposition_reconstructs(dim, seed):
-    h = _random_hermitian(dim, seed)
+def _assert_certified_spectrum(h):
     spec = eig_hermitian(HermitianOperator(h))
     w, v = spec.eigenvalues, spec.eigenvectors
     assert np.allclose(v @ np.diag(w) @ v.conj().T, h, atol=1e-9)
-    assert np.allclose(v.conj().T @ v, np.eye(dim), atol=1e-10)
+    assert np.allclose(v.conj().T @ v, np.eye(h.shape[0]), atol=1e-10)
     assert np.all(np.diff(w) >= -1e-12)
+    return w
+
+
+@settings(deadline=None, max_examples=60)
+@given(dim=st.integers(1, 6), seed=st.integers(0, 10**6))
+def test_eigendecomposition_reconstructs(dim, seed):
+    _assert_certified_spectrum(_random_hermitian(dim, seed))
+
+
+@pytest.mark.parametrize("dim", [32, 64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_eigendecomposition_reconstructs_at_large_dimension(dim, seed):
+    _assert_certified_spectrum(_random_hermitian(dim, seed))
+
+
+def test_eigendecomposition_of_degenerate_spectra():
+    w = _assert_certified_spectrum(DensityOperator.maximally_mixed(16).mat)
+    assert np.allclose(w, 1.0 / 16, atol=1e-14)
+    rng = np.random.default_rng(5)
+    vec = rng.normal(size=32) + 1j * rng.normal(size=32)
+    w = _assert_certified_spectrum(DensityOperator.pure(vec).mat)
+    assert np.allclose(w, np.r_[np.zeros(31), 1.0], atol=1e-12)
+
+
+def test_eigensolver_output_failing_reconstruction_is_rejected(monkeypatch):
+    h = HermitianOperator(_random_hermitian(4, 3))
+    eigh = np.linalg.eigh
+
+    def perturbed(a):
+        w, v = eigh(a)
+        return w, v + 1e-6
+
+    monkeypatch.setattr("qleak.linalg.np.linalg.eigh", perturbed)
+    with pytest.raises(EigenSolverError, match="residual"):
+        eig_hermitian(h)
+    monkeypatch.setattr(
+        "qleak.linalg.np.linalg.eigh", lambda a: (np.full(len(a), np.nan), eigh(a)[1])
+    )
+    with pytest.raises(EigenSolverError, match="residual"):
+        eig_hermitian(h)
+
+
+def test_lapack_failure_is_an_eigensolver_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr("qleak.linalg.np.linalg.eigh", fail)
+    with pytest.raises(EigenSolverError, match="did not converge"):
+        eig_hermitian(np.eye(2))
 
 
 def test_eigendecomposition_of_diagonal_is_sorted_diagonal():
@@ -51,6 +98,16 @@ def test_hermitian_operator_rejects_bad_shapes():
         HermitianOperator(np.zeros((2, 3)))
     with pytest.raises(ValidationError):
         HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_are_rejected(bad):
+    with pytest.raises(ValidationError, match="non-finite"):
+        HermitianOperator(np.array([[0.5, bad], [bad, 0.5]]))
+    with pytest.raises(ValidationError, match="non-finite"):
+        DensityOperator.from_matrix(np.diag([bad, 0.5]))
+    with pytest.raises(ValidationError, match="non-finite"):
+        ProbVector(np.array([0.5, bad]))
 
 
 def test_density_operator_validation():
