@@ -94,7 +94,10 @@ def parse_ensemble(doc: dict) -> Ensemble:
             raise ValidationError(
                 f"states[{i}] has shape {mat.shape}, expected ({dim}, {dim})"
             )
-        states.append(DensityOperator.from_matrix(mat))
+        try:
+            states.append(DensityOperator.from_matrix(mat))
+        except ValidationError as ex:
+            raise ValidationError(f"states[{i}]: {ex}") from ex
     return Ensemble(ProbVector(np.asarray(doc["prior"], dtype=np.float64)), tuple(states))
 
 
@@ -412,7 +415,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="write here instead of stdout")
         p.add_argument("--gap-tol", dest="gap_tol", type=float, default=1e-6)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--restarts", type=int, default=32)
+        p.add_argument("--restarts", type=int, default=32, help="random starts of the "
+                       "accessible-information search; 0 keeps the computational basis only")
         p.add_argument("--p-grid", dest="p_grid", default=_DEFAULT_GRID)
         p.add_argument("--d", type=int, default=2, help="dimension for the default model")
     return parser

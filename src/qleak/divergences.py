@@ -16,14 +16,14 @@ import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
 from .linalg import (
-    ENTROPY_FLOOR,
-    PSD_TOL,
     SUPPORT_RTOL,
-    DensityOperator,
     HermitianOperator,
+    Spectrum,
     _as_matrix,
+    _check_psd_spectrum,
+    _spectrum_contains,
+    _spectrum_power,
     eig_hermitian,
-    operator_power,
     support_contained,
 )
 
@@ -205,13 +205,10 @@ def sibson_information(prior, kernel: ConditionalKernel, order) -> float:
     return (a / (a - 1.0)) * math.log2(total)
 
 
-def _psd_spectrum(name: str, h) -> tuple[np.ndarray, np.ndarray]:
+def _psd_spectrum(name: str, h) -> Spectrum:
     spec = eig_hermitian(h)
-    w = spec.eigenvalues
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if w.size and float(w[0]) < -PSD_TOL * max(scale, 1.0):
-        raise ValidationError(f"{name} is not PSD (min eigenvalue {float(w[0]):.3e})")
-    return np.clip(w, 0.0, None), spec.eigenvectors
+    _check_psd_spectrum(spec.eigenvalues, name)
+    return spec
 
 
 def _supports(rho, sigma):
@@ -220,11 +217,13 @@ def _supports(rho, sigma):
     smat = _as_matrix(sigma)
     if rmat.shape != smat.shape:
         raise DimensionMismatch(f"shapes {rmat.shape} and {smat.shape} differ")
-    rw, rv = _psd_spectrum("first argument", rmat)
-    sw, sv = _psd_spectrum("second argument", smat)
+    rspec = _psd_spectrum("first argument", rmat)
+    sspec = _psd_spectrum("second argument", smat)
+    rw = np.clip(rspec.eigenvalues, 0.0, None)
+    sw = np.clip(sspec.eigenvalues, 0.0, None)
     ron = rw > SUPPORT_RTOL * float(np.max(rw, initial=0.0))
     son = sw > SUPPORT_RTOL * float(np.max(sw, initial=0.0))
-    overlap = np.abs(rv.conj().T @ sv) ** 2
+    overlap = np.abs(rspec.eigenvectors.conj().T @ sspec.eigenvectors) ** 2
     return rw, sw, ron, son, overlap
 
 
@@ -266,6 +265,30 @@ def petz_renyi(rho, sigma, order) -> float:
     return _logsumexp(logs[keep]) / ((a - 1.0) * math.log(2.0))
 
 
+def max_relative_entropies(rhos, sigma) -> list[float]:
+    """D_max(rho || sigma) in bits for each rho, decomposing sigma once.
+
+    D_max is the order-infinity sandwiched divergence, log2 of the least mu
+    with rho <= mu sigma: the log2 of the top eigenvalue of
+    sigma^-1/2 rho sigma^-1/2, and math.inf when supp(rho) escapes
+    supp(sigma).
+    """
+    smat = _as_matrix(sigma)
+    spec = _psd_spectrum("second argument", HermitianOperator(smat))
+    root = _spectrum_power(spec, -0.5).mat
+    out = []
+    for rho in rhos:
+        rmat = _as_matrix(rho)
+        if rmat.shape != smat.shape:
+            raise DimensionMismatch(f"shapes {rmat.shape} and {smat.shape} differ")
+        if not _spectrum_contains(spec, rmat):
+            out.append(math.inf)
+            continue
+        top = eig_hermitian(HermitianOperator(root @ rmat @ root)).max
+        out.append(math.log2(top) if top > 0.0 else -math.inf)
+    return out
+
+
 def sandwiched_renyi(rho, sigma, order) -> float:
     """Sandwiched Renyi divergence in bits.
 
@@ -276,26 +299,20 @@ def sandwiched_renyi(rho, sigma, order) -> float:
     alpha = _coerce_order(order)
     if alpha.is_one:
         return relative_entropy(rho, sigma)
+    if alpha.is_infinite:
+        return max_relative_entropies([rho], sigma)[0]
     rmat = _as_matrix(rho)
     smat = _as_matrix(sigma)
     if rmat.shape != smat.shape:
         raise DimensionMismatch(f"shapes {rmat.shape} and {smat.shape} differ")
-    _psd_spectrum("second argument", smat)
-    if alpha.value > 1.0 and not support_contained(rmat, smat):
-        return math.inf
-    if alpha.is_infinite:
-        root = operator_power(HermitianOperator(smat), -0.5).mat
-        inner = HermitianOperator(root @ rmat @ root)
-        w = eig_hermitian(inner).eigenvalues
-        top = float(np.max(w))
-        if top <= 0.0:
-            return -math.inf
-        return math.log2(top)
+    spec = _psd_spectrum("second argument", HermitianOperator(smat))
     a = alpha.value
+    if a > 1.0 and not _spectrum_contains(spec, rmat):
+        return math.inf
     b = (1.0 - a) / (2.0 * a)
-    conj = operator_power(HermitianOperator(smat), b).mat
+    conj = _spectrum_power(spec, b).mat
     inner = HermitianOperator(conj @ rmat @ conj)
-    w, _ = _psd_spectrum("sandwiched inner term", inner)
+    w = np.clip(_psd_spectrum("sandwiched inner term", inner).eigenvalues, 0.0, None)
     top = float(np.max(w)) if w.size else 0.0
     if top <= 0.0:
         # Disjoint supports at alpha < 1: the trace vanishes.

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import ORDER_INF, ProbVector, sandwiched_renyi
+from .divergences import ProbVector, max_relative_entropies
 from .errors import ChainViolationError, DimensionMismatch, ValidationError
 from .linalg import (
     PSD_TOL,
@@ -155,20 +155,21 @@ def pairwise_leakage(e: Ensemble) -> LeakageCertificate:
     """Largest order-infinity sandwiched divergence over ordered pairs.
 
     Infinite exactly when some state's support escapes another's; the
-    witness names the offending (or maximising) pair.  The prior plays
-    no role.
+    witness names the first offending pair in (i, j) order, or else the
+    first maximising one.  The prior plays no role.
     """
+    div = {}
+    for j, sigma in enumerate(e.states):
+        others = [i for i in range(e.count) if i != j]
+        values = max_relative_entropies([e.states[i] for i in others], sigma)
+        div.update(((i, j), v) for i, v in zip(others, values))
     best = 0.0
     witness = (0, 0)
-    for i, rho in enumerate(e.states):
-        for j, sigma in enumerate(e.states):
-            if i == j:
-                continue
-            v = sandwiched_renyi(rho, sigma, ORDER_INF)
-            if v > best:
-                best, witness = v, (i, j)
-            if math.isinf(best):
-                return LeakageCertificate(best, KIND_PAIRWISE, witness, 0.0, "optimal")
+    for pair in sorted(div):
+        if div[pair] > best:
+            best, witness = div[pair], pair
+        if math.isinf(best):
+            break
     return LeakageCertificate(max(best, 0.0), KIND_PAIRWISE, witness, 0.0, "optimal")
 
 
@@ -280,11 +281,13 @@ def accessible_information_lower(
     """Best mutual information found over rank-1 measurements.
 
     Frames start from the computational basis and `restarts` random
-    unitaries, then climb by rotating column pairs through a coarse
-    angle grid with local refinement.  The value is achieved by the
-    returned POVM, so it is always a valid lower bound; optimality is
-    never claimed.
+    unitaries (0 keeps the computational basis only), then climb by
+    rotating column pairs through a coarse angle grid with local
+    refinement.  The value is achieved by the returned POVM, so it is
+    always a valid lower bound; optimality is never claimed.
     """
+    if restarts < 0:
+        raise ValidationError(f"restarts must be >= 0, got {restarts}")
     prior = e.prior.probs
     d = e.dim
 
@@ -336,7 +339,7 @@ def accessible_information_lower(
 
     rng = np.random.default_rng(seed)
     starts = [np.eye(d, dtype=np.complex128)]
-    for _ in range(max(0, int(restarts))):
+    for _ in range(int(restarts)):
         starts.append(random_unitary(d, seed=int(rng.integers(0, 2**63 - 1))))
     best_val, best_frame = -1.0, starts[0]
     for u in starts:

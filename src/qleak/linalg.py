@@ -160,8 +160,13 @@ def operator_power(h, t: float) -> HermitianOperator:
     as powers of the pseudo-inverse on the support.
     """
     spec = eig_hermitian(h)
-    w = spec.eigenvalues.copy()
-    _check_psd_spectrum(w, "operator_power argument")
+    _check_psd_spectrum(spec.eigenvalues, "operator_power argument")
+    return _spectrum_power(spec, t)
+
+
+def _spectrum_power(spec: Spectrum, t: float) -> HermitianOperator:
+    """`operator_power` on an already decomposed, PSD-checked operator."""
+    w = spec.eigenvalues
     wmax = float(np.max(w)) if w.size else 0.0
     cut = SUPPORT_RTOL * wmax
     powered = np.zeros_like(w)
@@ -189,7 +194,11 @@ def support_contained(rho, sigma, tol: float = SUPPORT_RTOL) -> bool:
     s = _as_matrix(sigma)
     if r.shape != s.shape:
         raise DimensionMismatch(f"shapes {r.shape} and {s.shape} differ")
-    spec = eig_hermitian(s)
+    return _spectrum_contains(eig_hermitian(s), r, tol)
+
+
+def _spectrum_contains(spec: Spectrum, r: np.ndarray, tol: float = SUPPORT_RTOL) -> bool:
+    """`support_contained` against an already decomposed sigma."""
     wmax = float(np.max(spec.eigenvalues)) if spec.eigenvalues.size else 0.0
     kernel = spec.eigenvalues <= tol * max(wmax, 0.0)
     if not np.any(kernel):

@@ -7,12 +7,16 @@ inequalities built from a list of constraint states:
 * dominating form:   min tr(Y)   s.t.  Y >= rho_x'               for all x'
 
 The matrix inequalities are relaxed to linear cuts v' (.) v >= v' rho_x' v.
-Each outer iteration solves the cut relaxation exactly (through its LP dual,
-which keeps the tableau short), asks every inequality for its most negative
-eigenvector, and turns violations into new cuts.  The relaxation value is a
-certified lower bound; inflating the relaxation point until it is feasible
-gives a certified upper bound, and the solver stops when the relative gap
-between the two closes.
+Cuts enter the pool one eigenbasis at a time: a single batched product gives
+the quadratic forms v' rho_x v of every column against every state, which
+are the weights-form rows and the right-hand sides.  The pool is seeded with
+the eigenbases of every state and of every pairwise difference.  Each outer
+iteration solves the cut relaxation exactly (through its LP dual, which
+keeps the tableau short), eigendecomposes every inequality at the
+relaxation point, and cuts along each violated eigenspace.  The relaxation
+value is a certified lower bound; inflating the relaxation point until it
+is feasible gives a certified upper bound, and the solver stops when the
+relative gap between the two closes.
 """
 
 from __future__ import annotations
@@ -177,7 +181,7 @@ class _CutPool:
 
     def __init__(self, program: LmiProgram):
         self.program = program
-        self.states = [s.mat for s in program.states]
+        self.stack = np.stack([s.mat for s in program.states])
         d = program.dim
         if program.form == FORM_WEIGHTS:
             self.nvars = program.count
@@ -190,23 +194,33 @@ class _CutPool:
         self._seen: set[tuple[int, bytes]] = set()
         self._warm: list[int] | None = None
 
-    def add(self, state_index: int, v: np.ndarray) -> bool:
-        """Add the cut v'(.)v >= v' rho v; returns False for duplicates."""
-        rho = self.states[state_index]
-        target = float(np.real(np.conj(v) @ rho @ v))
-        if self.program.form == FORM_WEIGHTS:
-            row = np.array(
-                [float(np.real(np.conj(v) @ s @ v)) for s in self.states]
-            )
-        else:
-            row = _cut_row_dominating(v, self.program.dim)
-        key = (state_index, np.round(row, 9).tobytes())
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        self.rows.append(row)
-        self.rhs.append(target)
-        return True
+    def add(self, basis: np.ndarray, owners: tuple[int, ...]) -> int:
+        """Cut v'(.)v >= v' rho_x v for every column v and every listed x.
+
+        Columns go in order, each cut for the listed states in turn;
+        duplicates are skipped.  Returns the number of cuts added.
+        """
+        # forms[k, x] = v_k' rho_x v_k for every column and every state,
+        # shaped as row-vector products so that each form rounds exactly
+        # like np.conj(v) @ rho @ v and the LP sees the same cuts.
+        left = basis.conj().T[:, None, None, :] @ self.stack
+        forms = (left @ basis.T[:, None, :, None])[:, :, 0, 0].real
+        added = 0
+        for k in range(basis.shape[1]):
+            if self.program.form == FORM_WEIGHTS:
+                row = forms[k]
+            else:
+                row = _cut_row_dominating(basis[:, k], self.program.dim)
+            rounded = np.round(row, 9).tobytes()
+            for idx in owners:
+                key = (idx, rounded)
+                if key in self._seen:
+                    continue
+                self._seen.add(key)
+                self.rows.append(row)
+                self.rhs.append(float(forms[k, idx]))
+                added += 1
+        return added
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -239,6 +253,21 @@ class _CutPool:
         if self.program.form == FORM_WEIGHTS:
             return -res.objective, np.clip(point, 0.0, None)
         return -res.objective, matrix_from_coords(point, self.program.dim)
+
+
+def _seeded_pool(program: LmiProgram) -> _CutPool:
+    """A pool holding the eigenbasis cuts of every state and every difference."""
+    pool = _CutPool(program)
+    for idx, state in enumerate(program.states):
+        pool.add(eig_hermitian(state).eigenvectors, (idx,))
+    # Eigenbases of pairwise differences carry the directions where one
+    # state dominates another; on two-state programs they make the first
+    # relaxation exact, and they sharply cut the iteration count otherwise.
+    for i in range(program.count):
+        for j in range(i + 1, program.count):
+            delta = program.states[i].mat - program.states[j].mat
+            pool.add(eig_hermitian(HermitianOperator(delta)).eigenvectors, (i, j))
+    return pool
 
 
 def _initial_feasible(program: LmiProgram) -> tuple[float, object]:
@@ -305,22 +334,7 @@ def solve(
     """
     if not (0.0 < gap_tol <= 1e-2):
         raise ValidationError(f"gap_tol {gap_tol!r} outside (0, 1e-2]")
-    pool = _CutPool(program)
-    for idx, state in enumerate(program.states):
-        basis = eig_hermitian(state).eigenvectors
-        for k in range(program.dim):
-            pool.add(idx, basis[:, k])
-    # Eigenbases of pairwise differences carry the directions where one
-    # state dominates another; on two-state programs they make the first
-    # relaxation exact, and they sharply cut the iteration count otherwise.
-    for i in range(program.count):
-        for j in range(i + 1, program.count):
-            delta = program.states[i].mat - program.states[j].mat
-            basis = eig_hermitian(HermitianOperator(delta)).eigenvectors
-            for k in range(program.dim):
-                pool.add(i, basis[:, k])
-                pool.add(j, basis[:, k])
-
+    pool = _seeded_pool(program)
     best_obj, best_point = _initial_feasible(program)
     lower = -math.inf
     trace: list[float] = []
@@ -341,9 +355,9 @@ def solve(
         # Cut along the whole violated eigenspace, not just the most
         # negative direction; single cuts crawl on rank-deficient states.
         violated = [
-            (idx, spec.eigenvectors[:, k].copy())
+            (idx, spec.eigenvectors[:, spec.eigenvalues < -FEAS_TOL])
             for idx, spec in enumerate(spectra)
-            for k in np.flatnonzero(spec.eigenvalues < -FEAS_TOL)
+            if spec.min < -FEAS_TOL
         ]
 
         if not violated:
@@ -389,12 +403,10 @@ def solve(
         if gap <= gap_tol:
             status = STATUS_SOLVED
             break
-        if not violated or len(pool) + len(violated) > max_cuts:
+        if not violated or len(pool) + sum(v.shape[1] for _, v in violated) > max_cuts:
             status = STATUS_ITERATION_CAP
             break
-        added = 0
-        for idx, vec in violated:
-            added += pool.add(idx, vec)
+        added = sum(pool.add(vecs, (idx,)) for idx, vecs in violated)
         if added == 0:
             # Every violated direction is already cut; the relaxation
             # cannot move, so further iterations change nothing.

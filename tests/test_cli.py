@@ -154,8 +154,8 @@ def test_validation_failures_exit_two(tmp_path, capsys):
 
 def test_non_finite_state_entry_exits_two(tmp_path):
     doc = json.loads(_write_pair(tmp_path).read_text())
-    doc["states"][0][0][1] = [math.nan, 0.0]
-    doc["states"][0][1][0] = [math.nan, 0.0]
+    doc["states"][1][0][1] = [math.nan, 0.0]
+    doc["states"][1][1][0] = [math.nan, 0.0]
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(doc))
     proc = subprocess.run(
@@ -165,6 +165,22 @@ def test_non_finite_state_entry_exits_two(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
+    assert "states[1]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_negative_restarts_exit_two(tmp_path):
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "qleak", "leakage",
+            "--input", str(_write_pair(tmp_path)), "--restarts", "-1",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "restarts" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

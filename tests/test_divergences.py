@@ -12,6 +12,7 @@ from qleak.divergences import (
     ORDER_ONE,
     ConditionalKernel,
     ProbVector,
+    max_relative_entropies,
     petz_renyi,
     relative_entropy,
     renyi_classical,
@@ -183,3 +184,30 @@ def test_order_validation():
         sandwiched_renyi(rho, rho, 0.0)
     with pytest.raises(ValidationError):
         sandwiched_renyi(rho, rho, -2.0)
+
+
+def _dmax_oracle(rho, sigma):
+    """log2 lambda_max(sigma^-1/2 rho sigma^-1/2) with the inverse on supp(sigma)."""
+    w, v = np.linalg.eigh(sigma.mat)
+    on = w > 1e-9 * w[-1]
+    root = (v[:, on] / np.sqrt(w[on])) @ v[:, on].conj().T
+    return math.log2(np.linalg.eigvalsh(root @ rho.mat @ root)[-1])
+
+
+def test_max_relative_entropies_match_eigh_oracle():
+    u = random_unitary(4, seed=5)
+    full = random_density(4, 4, seed=6)
+    # Rank 3, with a rho inside its support and one leaking out of it.
+    sigma = DensityOperator.from_matrix(u @ np.diag([0.5, 0.3, 0.2, 0.0]) @ u.conj().T)
+    block = np.zeros((4, 4), dtype=np.complex128)
+    block[:3, :3] = random_density(3, 3, seed=7).mat
+    inside = DensityOperator.from_matrix(u @ block @ u.conj().T)
+    escaping = random_density(4, 2, seed=8)
+
+    (on_full,) = max_relative_entropies([escaping], full)
+    assert on_full == pytest.approx(_dmax_oracle(escaping, full), abs=1e-9)
+    finite, leaking = max_relative_entropies([inside, escaping], sigma)
+    assert finite == pytest.approx(_dmax_oracle(inside, sigma), abs=1e-9)
+    assert leaking == math.inf
+    assert sandwiched_renyi(inside, sigma, ORDER_INF) == finite
+    assert sandwiched_renyi(escaping, sigma, ORDER_INF) == math.inf

@@ -230,3 +230,25 @@ def test_grid_payoff_oracle_respects_certified_value():
         # two states: an optimal two-outcome projective measurement exists,
         # so the grid only loses discretisation resolution
         assert grid_bits >= q.value - 5e-3
+
+
+def test_pairwise_leakage_witness_is_first_infinite_pair():
+    # States 0 and 1 are full rank, state 2 is not: (0, 2) and (1, 2) are
+    # infinite, and the finite (0, 1) comes before both.
+    e = Ensemble.uniform(
+        [
+            DensityOperator.from_matrix(np.diag([0.7, 0.2, 0.1])),
+            DensityOperator.from_matrix(np.diag([0.2, 0.3, 0.5])),
+            DensityOperator.from_matrix(np.diag([0.5, 0.5, 0.0])),
+        ]
+    )
+    cert = pairwise_leakage(e)
+    assert cert.value == math.inf
+    assert cert.witness == (0, 2)
+
+
+def test_pairwise_leakage_witness_is_first_maximising_pair():
+    # Both ordered pairs reach log2(3); the witness is the first of them.
+    cert = pairwise_leakage(_diag_pair())
+    assert cert.value == math.log2(3.0)
+    assert cert.witness == (0, 1)

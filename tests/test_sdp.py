@@ -4,10 +4,19 @@ import numpy as np
 import pytest
 
 from helpers import diagonal_weights_value, random_ensemble
-from qleak.linalg import DensityOperator, random_density, random_unitary, trace_distance
+from qleak.linalg import (
+    DensityOperator,
+    HermitianOperator,
+    eig_hermitian,
+    random_density,
+    random_unitary,
+    trace_distance,
+)
 from qleak.sdp import (
     FEAS_TOL,
     STATUS_SOLVED,
+    _cut_row_dominating,
+    _seeded_pool,
     dominating_program,
     solve,
     violation_certificate,
@@ -128,3 +137,39 @@ def test_dominating_value_dominates_every_state_trace():
         # certified point really dominates: min eig of Y - rho above -tol
         w = np.linalg.eigvalsh(y - s.mat)
         assert float(w[0]) >= -5.0 * FEAS_TOL
+
+
+@pytest.mark.parametrize("make_program", [weights_program, dominating_program])
+def test_seeded_cut_pool_matches_per_vector_quadratic_forms(make_program):
+    states = tuple(random_density(4, 4, seed) for seed in (21, 22, 23))
+    program = make_program(states)
+    pool = _seeded_pool(program)
+    # Same bases and order as the seeding: each state's eigenbasis, then
+    # each difference eigenbasis cut for state i before state j.
+    bases = [(eig_hermitian(s).eigenvectors, (x,)) for x, s in enumerate(states)]
+    bases += [
+        (eig_hermitian(HermitianOperator(states[i].mat - states[j].mat)).eigenvectors, (i, j))
+        for i in range(3)
+        for j in range(i + 1, 3)
+    ]
+    rows, rhs, keys = [], [], set()
+    for basis, owners in bases:
+        for k in range(4):
+            v = basis[:, k]
+            forms = [float(np.real(np.conj(v) @ s.mat @ v)) for s in states]
+            if program.form == "weights":
+                row = np.array(forms)
+            else:
+                row = _cut_row_dominating(v, 4)
+            for x in owners:
+                key = (x, np.round(row, 9).tobytes())
+                if key not in keys:
+                    keys.add(key)
+                    rows.append(row)
+                    rhs.append(forms[x])
+    assert len(pool) == len(keys)
+    np.testing.assert_allclose(np.stack(pool.rows), np.stack(rows), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(pool.rhs, rhs, rtol=0.0, atol=1e-12)
+    # Cutting along a basis a second time adds nothing.
+    assert pool.add(bases[-1][0], bases[-1][1]) == 0
+    assert len(pool) == len(keys)
