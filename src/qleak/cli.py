@@ -32,6 +32,7 @@ from .channels import (
 from .divergences import ProbVector
 from .errors import (
     ChainViolationError,
+    DimensionMismatch,
     EigenSolverError,
     LpSolverError,
     QleakError,
@@ -74,6 +75,27 @@ def _matrix_from_json(rows, label: str) -> np.ndarray:
         raise ValidationError(f"{label}: entries must be [re, im] pairs ({ex})") from ex
 
 
+def _convert(value, kind, field: str, what: str = ""):
+    """kind(value), or a ValidationError that names the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as ex:
+        what = what or ("an integer" if kind is int else "a number")
+        raise ValidationError(f"{field} must be {what}, got {value!r}") from ex
+
+
+def _expect(value, kind: type, field: str):
+    """value if it is a JSON array (kind list) or object (kind dict)."""
+    if not isinstance(value, kind):
+        what = "an array" if kind is list else "an object"
+        raise ValidationError(f"{field} must be {what}, got {value!r}")
+    return value
+
+
+def _float_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64)
+
+
 def ensemble_to_json(e: Ensemble) -> dict:
     return {
         "dimension": e.dim,
@@ -83,12 +105,13 @@ def ensemble_to_json(e: Ensemble) -> dict:
 
 
 def parse_ensemble(doc: dict) -> Ensemble:
+    _expect(doc, dict, "ensemble spec")
     for key in ("dimension", "prior", "states"):
         if key not in doc:
             raise ValidationError(f"ensemble spec missing field '{key}'")
-    dim = int(doc["dimension"])
+    dim = _convert(doc["dimension"], int, "dimension")
     states = []
-    for i, rows in enumerate(doc["states"]):
+    for i, rows in enumerate(_expect(doc["states"], list, "states")):
         mat = _matrix_from_json(rows, f"states[{i}]")
         if mat.shape != (dim, dim):
             raise ValidationError(
@@ -98,27 +121,28 @@ def parse_ensemble(doc: dict) -> Ensemble:
             states.append(DensityOperator.from_matrix(mat))
         except ValidationError as ex:
             raise ValidationError(f"states[{i}]: {ex}") from ex
-    return Ensemble(ProbVector(np.asarray(doc["prior"], dtype=np.float64)), tuple(states))
+    prior = _convert(doc["prior"], _float_array, "prior", "a list of numbers")
+    return Ensemble(ProbVector(prior), tuple(states))
 
 
-def _channel_param(params: dict, name: str):
+def _channel_param(params: dict, name: str, kind):
     if name not in params:
         raise ValidationError(f"channel spec missing field 'params.{name}'")
-    return params[name]
+    return _convert(params[name], kind, f"params.{name}")
 
 
 def parse_channel(doc: dict) -> QuantumChannel:
-    if "kind" not in doc:
+    if "kind" not in _expect(doc, dict, "channel spec"):
         raise ValidationError("channel spec missing field 'kind'")
     kind = doc["kind"]
-    params = doc.get("params", {})
+    params = _expect(doc.get("params", {}), dict, "params")
     if kind == "depolarizing_global":
         return depolarizing_global(
-            float(_channel_param(params, "p")), int(_channel_param(params, "d"))
+            _channel_param(params, "p", float), _channel_param(params, "d", int)
         )
     if kind == "depolarizing_local":
         return depolarizing_local(
-            float(_channel_param(params, "p")), int(_channel_param(params, "qubits"))
+            _channel_param(params, "p", float), _channel_param(params, "qubits", int)
         )
     if kind == "kraus":
         mats = [
@@ -130,21 +154,29 @@ def parse_channel(doc: dict) -> QuantumChannel:
 
 
 def parse_dp_params(doc: dict) -> DpParams:
-    if "epsilon_nats" not in doc:
+    if "epsilon_nats" not in _expect(doc, dict, "dp spec"):
         raise ValidationError("dp spec missing field 'epsilon_nats'")
-    nb = doc.get("neighbouring", {"kind": "all_pairs"})
+    nb = _expect(doc.get("neighbouring", {"kind": "all_pairs"}), dict, "neighbouring")
     kind = nb.get("kind", "all_pairs")
     if kind == "all_pairs":
         relation = AllPairs()
     elif kind == "trace_distance":
-        relation = TraceDistanceNeighbours(kappa=float(nb.get("kappa", 2.0)))
+        relation = TraceDistanceNeighbours(
+            kappa=_convert(nb.get("kappa", 2.0), float, "neighbouring.kappa")
+        )
     elif kind == "explicit":
-        relation = ExplicitPairs(tuple((int(a), int(b)) for a, b in nb.get("pairs", [])))
+        pairs = []
+        for i, pair in enumerate(_expect(nb.get("pairs", []), list, "neighbouring.pairs")):
+            field = f"neighbouring.pairs[{i}]"
+            if len(_expect(pair, list, field)) != 2:
+                raise ValidationError(f"{field} must be a pair of indices, got {pair!r}")
+            pairs.append(tuple(_convert(x, int, field, "a pair of indices") for x in pair))
+        relation = ExplicitPairs(tuple(pairs))
     else:
         raise ValidationError(f"neighbouring kind '{kind}' not recognized")
     return DpParams(
-        epsilon_nats=float(doc["epsilon_nats"]),
-        delta=float(doc.get("delta", 0.0)),
+        epsilon_nats=_convert(doc["epsilon_nats"], float, "epsilon_nats"),
+        delta=_convert(doc.get("delta", 0.0), float, "delta"),
         neighbouring=relation,
     )
 
@@ -153,7 +185,7 @@ def parse_model(doc: dict) -> tuple[VariationalModel, list, np.ndarray]:
     for key in ("qubits", "encoder"):
         if key not in doc:
             raise ValidationError(f"model spec missing field '{key}'")
-    qubits = int(doc["qubits"])
+    qubits = _convert(doc["qubits"], int, "qubits")
     name = doc["encoder"]
     if name == "basis":
         encoder = BasisEncoding()
@@ -161,37 +193,42 @@ def parse_model(doc: dict) -> tuple[VariationalModel, list, np.ndarray]:
         encoder = AngleEncoding()
     else:
         raise ValidationError(f"encoder '{name}' not recognized (basis or angle)")
-    layers = tuple(np.asarray(v, dtype=np.float64) for v in doc.get("layers", []))
+    layers = tuple(
+        _convert(v, _float_array, f"layers[{i}]", "a list of numbers")
+        for i, v in enumerate(_expect(doc.get("layers", []), list, "layers"))
+    )
     if "povm" in doc:
         povm = Povm(
             tuple(
                 HermitianOperator(_matrix_from_json(rows, f"povm[{i}]"))
-                for i, rows in enumerate(doc["povm"])
+                for i, rows in enumerate(_expect(doc["povm"], list, "povm"))
             )
         )
     else:
-        povm = basis_classifier(qubits, doc.get("classes"))
+        classes = doc.get("classes")
+        if classes is not None:
+            classes = _convert(classes, int, "classes")
+        povm = basis_classifier(qubits, classes)
     model = VariationalModel(qubits=qubits, encoder=encoder, layers=layers, classifier=povm)
     if "inputs" in doc:
-        inputs = list(doc["inputs"])
+        inputs = list(_expect(doc["inputs"], list, "inputs"))
     elif isinstance(encoder, BasisEncoding):
         inputs = list(range(model.dim))
     else:
         raise ValidationError("model spec with angle encoder must list 'inputs'")
-    prior = np.asarray(
-        doc.get("prior", [1.0 / len(inputs)] * len(inputs)), dtype=np.float64
-    )
-    return model, inputs, prior
+    prior = doc.get("prior", [1.0 / len(inputs)] * len(inputs))
+    return model, inputs, _convert(prior, _float_array, "prior", "a list of numbers")
 
 
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as ex:
         raise ValidationError(f"cannot read --input {path}: {ex}") from ex
     except json.JSONDecodeError as ex:
         raise ValidationError(f"--input {path} is not valid JSON: {ex}") from ex
+    return _expect(doc, dict, f"--input {path}")
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -426,7 +463,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text, code = _COMMANDS[args.command](args)
-    except (ValidationError, UnsupportedModeError) as ex:
+    except (ValidationError, DimensionMismatch, UnsupportedModeError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     except (LpSolverError, EigenSolverError) as ex:

@@ -67,6 +67,26 @@ def povm_payoff(e, elements):
     return total
 
 
+def povm_mutual_information(e, povm):
+    """I(X;Y) in bits of a measurement, with P(y|x) = tr(rho_x F_y) summed entry by entry."""
+    prior = [float(p) for p in e.prior.probs]
+    cond = []
+    for s in e.states:
+        row = []
+        for f in povm.elements:
+            tr = sum(s.mat[i, j] * f.mat[j, i] for i in range(e.dim) for j in range(e.dim))
+            row.append(max(float(tr.real), 0.0))
+        cond.append(row)
+    total = 0.0
+    for y in range(len(povm.elements)):
+        py = sum(prior[x] * cond[x][y] for x in range(len(prior)))
+        for x in range(len(prior)):
+            joint = prior[x] * cond[x][y]
+            if joint > 1e-18:
+                total += joint * math.log2(joint / (prior[x] * py))
+    return total
+
+
 def fixed_point_payoff(e, iters=300):
     """Best guessing payoff from the discrimination fixed-point iteration.
 

@@ -23,15 +23,19 @@ from qleak.leakage import Ensemble
 from qleak.linalg import DensityOperator
 
 
-def _write_pair(tmp_path):
+def _pair_doc():
     e = Ensemble.uniform(
         (
             DensityOperator.from_matrix(np.diag([0.75, 0.25])),
             DensityOperator.from_matrix(np.diag([0.25, 0.75])),
         )
     )
+    return ensemble_to_json(e)
+
+
+def _write_pair(tmp_path):
     path = tmp_path / "pair.json"
-    path.write_text(json.dumps(ensemble_to_json(e)))
+    path.write_text(json.dumps(_pair_doc()))
     return path
 
 
@@ -181,6 +185,56 @@ def test_negative_restarts_exit_two(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "restarts" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _dp_doc(params=None, dp=None):
+    return {
+        "ensemble": _pair_doc(),
+        "channel": {
+            "kind": "depolarizing_global",
+            "params": {"p": 0.5, "d": 2, **(params or {})},
+        },
+        "dp": dp or {"epsilon_nats": 1.0},
+    }
+
+
+@pytest.mark.parametrize(
+    "command, doc, named",
+    [
+        ("leakage", {**_pair_doc(), "states": 5}, "states"),
+        ("leakage", {**_pair_doc(), "dimension": "x"}, "dimension"),
+        ("dp-check", _dp_doc(params={"p": "abc"}), "params.p"),
+        ("dp-check", _dp_doc(dp={"epsilon_nats": "x"}), "epsilon_nats"),
+        (
+            "dp-check",
+            _dp_doc(dp={
+                "epsilon_nats": 1.0,
+                "neighbouring": {"kind": "explicit", "pairs": [[0]]},
+            }),
+            "neighbouring.pairs[0]",
+        ),
+        ("dp-check", _dp_doc(params={"d": 3}), "channel input 3"),
+        ("leakage", 5, "must be an object"),
+        ("dp-check", _dp_doc(dp={"epsilon_nats": 1.0, "neighbouring": 5}), "neighbouring"),
+        ("tradeoff", {"qubits": "x", "encoder": "basis"}, "qubits"),
+        ("tradeoff", {"qubits": 1, "encoder": "basis", "classes": "x"}, "classes"),
+    ],
+    ids=["states-not-list", "dimension-not-int", "p-not-number", "epsilon-not-number",
+         "pair-of-one", "channel-dimension-mismatch", "spec-not-object",
+         "neighbouring-not-object", "qubits-not-int", "classes-not-int"],
+)
+def test_malformed_spec_exits_two(tmp_path, command, doc, named):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qleak", command, "--input", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert named in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
