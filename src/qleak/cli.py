@@ -211,7 +211,12 @@ def parse_model(doc: dict) -> tuple[VariationalModel, list, np.ndarray]:
         povm = basis_classifier(qubits, classes)
     model = VariationalModel(qubits=qubits, encoder=encoder, layers=layers, classifier=povm)
     if "inputs" in doc:
-        inputs = list(_expect(doc["inputs"], list, "inputs"))
+        kind = int if isinstance(encoder, BasisEncoding) else _float_array
+        what = "" if kind is int else "a number or a list of numbers"
+        entries = enumerate(_expect(doc["inputs"], list, "inputs"))
+        inputs = [_convert(x, kind, f"inputs[{i}]", what) for i, x in entries]
+        if not inputs:
+            raise ValidationError("inputs must list at least one input")
     elif isinstance(encoder, BasisEncoding):
         inputs = list(range(model.dim))
     else:

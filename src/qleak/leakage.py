@@ -205,8 +205,9 @@ def max_leakage(e: Ensemble, gap_tol: float = DEFAULT_GAP_TOL) -> LeakageCertifi
 
     The supremum over measurements of the guessing payoff equals the
     minimal trace of an operator dominating every state (the programs
-    are dual with a strictly feasible interior), so the dominating
-    program computes it with a certified bracket.
+    are dual with a strictly feasible interior); the dominating program
+    brackets it between a measurement's payoff and the trace of a
+    dominating operator, which is the witness.
     """
     return _dominating_certificate(e, gap_tol, KIND_MAXIMAL)
 

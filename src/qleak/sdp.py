@@ -1,4 +1,4 @@
-"""Certified cutting-plane solver for two families of operator programs.
+"""Certified solvers for two families of operator programs.
 
 Both programs minimise a linear objective subject to linear matrix
 inequalities built from a list of constraint states:
@@ -6,17 +6,16 @@ inequalities built from a list of constraint states:
 * weights form:      min sum(c)  s.t.  sum_x c_x rho_x >= rho_x'  for all x'
 * dominating form:   min tr(Y)   s.t.  Y >= rho_x'               for all x'
 
-The matrix inequalities are relaxed to linear cuts v' (.) v >= v' rho_x' v.
-Cuts enter the pool one eigenbasis at a time: a single batched product gives
-the quadratic forms v' rho_x v of every column against every state, which
-are the weights-form rows and the right-hand sides.  The pool is seeded with
-the eigenbases of every state and of every pairwise difference.  Each outer
-iteration solves the cut relaxation exactly (through its LP dual, which
-keeps the tableau short), eigendecomposes every inequality at the
-relaxation point, and cuts along each violated eigenspace.  The relaxation
-value is a certified lower bound; inflating the relaxation point until it
-is feasible gives a certified upper bound, and the solver stops when the
-relative gap between the two closes.
+The weights form runs cutting planes: its inequalities are relaxed to cuts
+v' (.) v >= v' rho_x' v, entered one eigenbasis at a time from one batched
+product of quadratic forms, and seeded with the eigenbases of every state
+and every pairwise difference.  Each iteration solves the cut relaxation
+exactly through its LP dual (a certified lower bound), inflates the
+relaxation point until it is feasible (a certified upper bound), and cuts
+along every violated eigenspace.  The dominating form is the dual of the
+optimal guessing game and needs no LP: a measurement from the minimum-error
+fixed point gives the lower bound, and an operator built from it gives the
+upper bound.  Both stop when the relative gap between the bounds closes.
 """
 
 from __future__ import annotations
@@ -27,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LpSolverError, ValidationError
-from .linalg import DensityOperator, HermitianOperator, Spectrum, eig_hermitian
+from .linalg import (
+    DensityOperator,
+    HermitianOperator,
+    Spectrum,
+    _spectrum_power,
+    eig_hermitian,
+)
 from .simplex import STATUS_OPTIMAL, resume_phase2, solve_standard_form
 
 FORM_WEIGHTS = "weights"
@@ -35,7 +40,6 @@ FORM_DOMINATING = "dominating"
 
 STATUS_SOLVED = "optimal"
 STATUS_ITERATION_CAP = "iteration_cap"
-STATUS_INFEASIBLE = "infeasible"
 
 DEFAULT_GAP_TOL = 1e-6
 DEFAULT_MAX_CUTS = 2000
@@ -95,39 +99,6 @@ class SdpSolution:
         return (self.upper_bound - self.lower_bound) / max(1.0, self.upper_bound)
 
 
-def _coord_count(d: int) -> int:
-    return d * d
-
-
-def _cut_row_dominating(v: np.ndarray, d: int) -> np.ndarray:
-    """Coordinates of the quadratic form v' Y v over the real Y parameters.
-
-    Layout: d diagonal entries, then (re, im) pairs for each i < j.
-    """
-    row = np.empty(_coord_count(d))
-    row[:d] = np.abs(v) ** 2
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            z = np.conj(v[i]) * v[j]
-            row[k] = 2.0 * z.real
-            row[k + 1] = -2.0 * z.imag
-            k += 2
-    return row
-
-
-def matrix_from_coords(y: np.ndarray, d: int) -> HermitianOperator:
-    mat = np.zeros((d, d), dtype=np.complex128)
-    mat[np.diag_indices(d)] = y[:d]
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            mat[i, j] = y[k] + 1j * y[k + 1]
-            mat[j, i] = y[k] - 1j * y[k + 1]
-            k += 2
-    return HermitianOperator(mat)
-
-
 def _point_matrix(program: LmiProgram, point) -> np.ndarray:
     """The operator side of every LMI at the given primal point."""
     if program.form == FORM_WEIGHTS:
@@ -136,11 +107,7 @@ def _point_matrix(program: LmiProgram, point) -> np.ndarray:
             raise ValidationError(f"expected {program.count} weights, got {c.size}")
         mats = np.stack([s.mat for s in program.states])
         return np.einsum("x,xij->ij", c, mats)
-    if isinstance(point, HermitianOperator):
-        return point.mat
-    if isinstance(point, DensityOperator):
-        return point.mat
-    return HermitianOperator(np.asarray(point, dtype=np.complex128)).mat
+    return HermitianOperator(getattr(point, "mat", point)).mat
 
 
 def _lmi_spectra(program: LmiProgram, a: np.ndarray) -> list[Spectrum]:
@@ -177,18 +144,10 @@ def _is_feasible_shift(a: np.ndarray, states, scale: float) -> bool:
 
 
 class _CutPool:
-    """Accumulated cuts with cached LP data for one program."""
+    """Accumulated cuts with cached LP data for one weights program."""
 
     def __init__(self, program: LmiProgram):
-        self.program = program
         self.stack = np.stack([s.mat for s in program.states])
-        d = program.dim
-        if program.form == FORM_WEIGHTS:
-            self.nvars = program.count
-            self.objective = np.ones(self.nvars)
-        else:
-            self.nvars = _coord_count(d)
-            self.objective = np.concatenate([np.ones(d), np.zeros(self.nvars - d)])
         self.rows: list[np.ndarray] = []
         self.rhs: list[float] = []
         self._seen: set[tuple[int, bytes]] = set()
@@ -207,10 +166,7 @@ class _CutPool:
         forms = (left @ basis.T[:, None, :, None])[:, :, 0, 0].real
         added = 0
         for k in range(basis.shape[1]):
-            if self.program.form == FORM_WEIGHTS:
-                row = forms[k]
-            else:
-                row = _cut_row_dominating(basis[:, k], self.program.dim)
+            row = forms[k]
             rounded = np.round(row, 9).tobytes()
             for idx in owners:
                 key = (idx, rounded)
@@ -229,18 +185,12 @@ class _CutPool:
         """Exact optimum of the current cut relaxation via the LP dual."""
         g = np.stack(self.rows)
         h = np.asarray(self.rhs)
-        if self.program.form == FORM_WEIGHTS:
-            # dual: max h.lam s.t. G'.lam <= 1, lam >= 0.  Slack columns
-            # come first so their indices survive cut growth.
-            m = self.nvars
-            a_eq = np.hstack([np.eye(m), g.T])
-            cost = np.concatenate([np.zeros(m), -h])
-            b_eq = np.ones(m)
-        else:
-            # dual: max h.lam s.t. G'.lam = objective, lam >= 0
-            a_eq = g.T
-            cost = -h
-            b_eq = self.objective
+        # dual: max h.lam s.t. G'.lam <= 1, lam >= 0.  Slack columns come
+        # first so their indices survive cut growth.
+        m = len(self.stack)
+        a_eq = np.hstack([np.eye(m), g.T])
+        cost = np.concatenate([np.zeros(m), -h])
+        b_eq = np.ones(m)
         res = None
         if self._warm is not None:
             res = resume_phase2(cost, a_eq, b_eq, self._warm)
@@ -249,10 +199,7 @@ class _CutPool:
             if res.status != STATUS_OPTIMAL:
                 raise LpSolverError(f"cut relaxation LP returned {res.status}")
         self._warm = res.basis
-        point = -res.multipliers
-        if self.program.form == FORM_WEIGHTS:
-            return -res.objective, np.clip(point, 0.0, None)
-        return -res.objective, matrix_from_coords(point, self.program.dim)
+        return -res.objective, np.clip(-res.multipliers, 0.0, None)
 
 
 def _seeded_pool(program: LmiProgram) -> _CutPool:
@@ -270,45 +217,22 @@ def _seeded_pool(program: LmiProgram) -> _CutPool:
     return pool
 
 
-def _initial_feasible(program: LmiProgram) -> tuple[float, object]:
-    """A cheap feasible point: sums of states always dominate each state."""
-    if program.form == FORM_WEIGHTS:
-        c = np.ones(program.count)
-        return float(program.count), c
-    total = HermitianOperator(sum(s.mat for s in program.states))
-    candidates = [(total.trace(), total)]
-    top = max(eig_hermitian(s).max for s in program.states)
-    scaled = HermitianOperator(top * np.eye(program.dim))
-    candidates.append((scaled.trace(), scaled))
-    return min(candidates, key=lambda t: t[0])
-
-
-def _scale_point(program: LmiProgram, point, factor: float):
-    if program.form == FORM_WEIGHTS:
-        return np.asarray(point) * factor
-    return HermitianOperator(_point_matrix(program, point) * factor)
-
-
 # Safety pad applied when lifting a point onto the cone, covering
 # eigensolver roundoff so the lifted point is feasible outright.
 _LIFT_PAD = 1e-12
 
 
 def _certify_point(program: LmiProgram, point, obj: float):
-    """Lift a near-feasible point onto the cone so obj upper-bounds the optimum.
+    """Lift near-feasible weights onto the cone so obj upper-bounds the optimum.
 
     Relaxation points can violate the LMIs by up to FEAS_TOL, which would
     let the reported value undercut the true optimum; the lift closes that
     hole at a cost of at most count * (FEAS_TOL + pad) / mu in objective.
     """
-    a = _point_matrix(program, point)
-    worst = _worst_eigenvalue(_lmi_spectra(program, a))
+    worst = _worst_eigenvalue(_lmi_spectra(program, _point_matrix(program, point)))
     if worst >= 0.0:
         return obj, point
     lift = -worst + _LIFT_PAD
-    if program.form == FORM_DOMINATING:
-        lifted = HermitianOperator(a + lift * np.eye(program.dim))
-        return obj + program.dim * lift, lifted
     # Adding eps to every weight adds eps * (sum of states), whose smallest
     # support eigenvalue mu bounds the repair rate; kernel directions are
     # annihilated by every state, so no violation can live there.
@@ -320,22 +244,86 @@ def _certify_point(program: LmiProgram, point, obj: float):
     return float(np.sum(c)), c
 
 
+# Fixed-point steps after which the dominating form stops as iteration_cap.
+_FIXED_POINT_CAP = 20_000
+
+
+def _solve_dominating(program: LmiProgram, gap_tol: float) -> SdpSolution:
+    """Bracket min tr(Y) over Y >= rho_x between a measurement and an operator.
+
+    The minimum-error fixed point (Jezek, Rehacek, Fiurasek, PRA 65, 060301,
+    2002) moves M_x <- G^-1/2 rho_x M_x rho_x G^-1/2, G = sum_x rho_x M_x rho_x,
+    from M_x = I/n.  Its payoff sum_x tr(rho_x M_x) over max(1, lambda_max of
+    sum_x M_x) is the payoff of a sub-measurement, hence a lower bound.  The
+    upper bound follows the Yuen-Kennedy-Lax conditions (IEEE TIT 21, 125,
+    1975): Y starts at the Hermitian part of sum_x rho_x M_x, takes in each
+    state's excess (rho_x - Y)+ in turn, which is exact at once on commuting
+    states, and a last shift by the worst LMI eigenvalue plus a pad makes it
+    feasible outright.  Each pass is one iteration of the returned solution.
+    """
+    n, d = program.count, program.dim
+    rhos = np.stack([s.mat for s in program.states])
+    povm = np.stack([np.eye(d, dtype=np.complex128) / n] * n)
+    lower, upper, primal = -math.inf, math.inf, None
+    trace: list[float] = []
+    status = STATUS_ITERATION_CAP
+    for iterations in range(1, _FIXED_POINT_CAP + 1):
+        size = max(1.0, eig_hermitian(povm.sum(axis=0)).max)
+        lower = max(lower, float(np.einsum("xij,xji->", rhos, povm).real) / size)
+        trace.append(lower)
+
+        y = (rhos @ povm).sum(axis=0)
+        y = (y + y.conj().T) / 2.0
+        for rho in rhos:
+            spec = eig_hermitian(y - rho)
+            v = spec.eigenvectors
+            y = y + (v * np.clip(-spec.eigenvalues, 0.0, None)) @ v.conj().T
+        y = HermitianOperator(y).mat
+        worst = _worst_eigenvalue(_lmi_spectra(program, y))
+        if worst < 0.0:
+            y = y + (-worst + _LIFT_PAD) * np.eye(d)
+        if np.trace(y).real < upper:
+            upper, primal = float(np.trace(y).real), HermitianOperator(y)
+
+        if (upper - lower) / max(1.0, upper) <= gap_tol:
+            status = STATUS_SOLVED
+            break
+        root = _spectrum_power(eig_hermitian((rhos @ povm @ rhos).sum(axis=0)), -0.5).mat
+        povm = root @ rhos @ povm @ rhos @ root
+        povm = (povm + povm.conj().transpose(0, 2, 1)) / 2.0
+
+    return SdpSolution(
+        value=upper,
+        primal=primal,
+        lower_bound=lower,
+        upper_bound=upper,
+        status=status,
+        cut_count=0,
+        iterations=iterations,
+        lower_bound_trace=tuple(trace),
+    )
+
+
 def solve(
     program: LmiProgram,
     gap_tol: float = DEFAULT_GAP_TOL,
     max_cuts: int = DEFAULT_MAX_CUTS,
 ) -> SdpSolution:
-    """Run the cutting-plane loop until the relative gap closes.
+    """Bracket the optimum until the relative gap closes.
 
-    The returned value is the certified upper bound; lower_bound is the last
-    relaxation optimum, so lower_bound <= optimum <= value always holds.
-    Candidate points are lifted onto the feasible cone before acceptance,
+    The returned value is the certified upper bound and lower_bound a
+    certified lower bound, so lower_bound <= optimum <= value always holds.
+    In the weights form lower_bound is the last relaxation optimum, and
+    candidate points are lifted onto the feasible cone before acceptance,
     so the upper bound never undercuts the optimum by relaxation slack.
     """
     if not (0.0 < gap_tol <= 1e-2):
         raise ValidationError(f"gap_tol {gap_tol!r} outside (0, 1e-2]")
+    if program.form == FORM_DOMINATING:
+        return _solve_dominating(program, gap_tol)
     pool = _seeded_pool(program)
-    best_obj, best_point = _initial_feasible(program)
+    # Unit weights are feasible: the sum of the states dominates each one.
+    best_obj, best_point = float(program.count), np.ones(program.count)
     lower = -math.inf
     trace: list[float] = []
     status = STATUS_ITERATION_CAP
@@ -345,13 +333,9 @@ def solve(
         lower, z = pool.solve_relaxation()
         trace.append(lower)
         a = _point_matrix(program, z)
-        if program.form == FORM_WEIGHTS:
-            obj = float(np.sum(np.asarray(z)))
-        else:
-            obj = float(np.trace(a).real)
+        obj = float(np.sum(z))
 
         spectra = _lmi_spectra(program, a)
-        worst = _worst_eigenvalue(spectra)
         # Cut along the whole violated eigenspace, not just the most
         # negative direction; single cuts crawl on rank-deficient states.
         violated = [
@@ -360,26 +344,10 @@ def solve(
             if spec.min < -FEAS_TOL
         ]
 
-        if not violated:
-            if obj < best_obj:
-                cand_obj, cand_point = _certify_point(
-                    program, _scale_point(program, z, 1.0), obj
-                )
-                if cand_obj < best_obj:
-                    best_obj, best_point = cand_obj, cand_point
-        elif program.form == FORM_DOMINATING:
-            # a + delta I dominates every state outright; cheaper and often
-            # tighter than scaling the whole point.
-            delta = -worst
-            candidate = obj + program.dim * delta
-            if candidate < best_obj:
-                cand_obj, cand_point = _certify_point(
-                    program,
-                    HermitianOperator(a + delta * np.eye(program.dim)),
-                    candidate,
-                )
-                if cand_obj < best_obj:
-                    best_obj, best_point = cand_obj, cand_point
+        if not violated and obj < best_obj:
+            cand_obj, cand_point = _certify_point(program, z, obj)
+            if cand_obj < best_obj:
+                best_obj, best_point = cand_obj, cand_point
         if violated and obj > 0.0 and _is_feasible_shift(a, program.states, 2.0):
             # Smallest inflation (1 + s), s <= 1, restoring feasibility.
             lo, hi = 0.0, 1.0
@@ -393,9 +361,7 @@ def solve(
                     lo = mid
             candidate = (1.0 + hi) * obj
             if candidate < best_obj:
-                cand_obj, cand_point = _certify_point(
-                    program, _scale_point(program, z, 1.0 + hi), candidate
-                )
+                cand_obj, cand_point = _certify_point(program, z * (1.0 + hi), candidate)
                 if cand_obj < best_obj:
                     best_obj, best_point = cand_obj, cand_point
 

@@ -219,10 +219,14 @@ def _dp_doc(params=None, dp=None):
         ("dp-check", _dp_doc(dp={"epsilon_nats": 1.0, "neighbouring": 5}), "neighbouring"),
         ("tradeoff", {"qubits": "x", "encoder": "basis"}, "qubits"),
         ("tradeoff", {"qubits": 1, "encoder": "basis", "classes": "x"}, "classes"),
+        ("tradeoff", {"qubits": 1, "encoder": "angle", "inputs": ["x", "y"]}, "inputs[0]"),
+        ("tradeoff", {"qubits": 1, "encoder": "basis", "inputs": ["a"]}, "inputs[0]"),
+        ("tradeoff", {"qubits": 1, "encoder": "basis", "inputs": []}, "inputs"),
     ],
     ids=["states-not-list", "dimension-not-int", "p-not-number", "epsilon-not-number",
          "pair-of-one", "channel-dimension-mismatch", "spec-not-object",
-         "neighbouring-not-object", "qubits-not-int", "classes-not-int"],
+         "neighbouring-not-object", "qubits-not-int", "classes-not-int",
+         "angle-input-not-number", "basis-input-not-int", "inputs-empty"],
 )
 def test_malformed_spec_exits_two(tmp_path, command, doc, named):
     path = tmp_path / "spec.json"
@@ -287,3 +291,13 @@ def test_bad_thread_env_is_a_validation_error(monkeypatch, capsys):
     monkeypatch.setenv("QLEAK_THREADS", "zero")
     assert main(["tradeoff", "--p-grid", "0.5"]) == 2
     assert "QLEAK_THREADS" in capsys.readouterr().err
+
+
+def test_leakage_iteration_cap_exits_three(tmp_path, monkeypatch, capsys):
+    from qleak import sdp
+
+    monkeypatch.setattr(sdp, "_FIXED_POINT_CAP", 1)
+    path = tmp_path / "hard.json"
+    path.write_text(json.dumps(ensemble_to_json(random_ensemble(7, 3, seed=2))))
+    assert main(["leakage", "--input", str(path), "--restarts", "0"]) == 3
+    assert "maximal Q" in capsys.readouterr().out

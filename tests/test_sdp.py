@@ -1,9 +1,10 @@
-"""Cutting-plane LMI solver against closed forms and classical oracles."""
+"""LMI solvers against closed forms and classical oracles."""
 
 import numpy as np
 import pytest
 
 from helpers import diagonal_weights_value, random_ensemble
+from qleak import sdp
 from qleak.linalg import (
     DensityOperator,
     HermitianOperator,
@@ -14,8 +15,8 @@ from qleak.linalg import (
 )
 from qleak.sdp import (
     FEAS_TOL,
+    STATUS_ITERATION_CAP,
     STATUS_SOLVED,
-    _cut_row_dominating,
     _seeded_pool,
     dominating_program,
     solve,
@@ -139,7 +140,7 @@ def test_dominating_value_dominates_every_state_trace():
         assert float(w[0]) >= -5.0 * FEAS_TOL
 
 
-@pytest.mark.parametrize("make_program", [weights_program, dominating_program])
+@pytest.mark.parametrize("make_program", [weights_program])
 def test_seeded_cut_pool_matches_per_vector_quadratic_forms(make_program):
     states = tuple(random_density(4, 4, seed) for seed in (21, 22, 23))
     program = make_program(states)
@@ -157,10 +158,7 @@ def test_seeded_cut_pool_matches_per_vector_quadratic_forms(make_program):
         for k in range(4):
             v = basis[:, k]
             forms = [float(np.real(np.conj(v) @ s.mat @ v)) for s in states]
-            if program.form == "weights":
-                row = np.array(forms)
-            else:
-                row = _cut_row_dominating(v, 4)
+            row = np.array(forms)
             for x in owners:
                 key = (x, np.round(row, 9).tobytes())
                 if key not in keys:
@@ -173,3 +171,38 @@ def test_seeded_cut_pool_matches_per_vector_quadratic_forms(make_program):
     # Cutting along a basis a second time adds nothing.
     assert pool.add(bases[-1][0], bases[-1][1]) == 0
     assert len(pool) == len(keys)
+
+
+# Ensembles on which the earlier cutting-plane form of Q failed or crawled:
+# (7, 2, 1) cycled in the simplex, (8, 2, 3) ran for about 19 minutes, and
+# (5, 2, 1) and (7, 3, 2) took about 18 s each.
+@pytest.mark.parametrize("dim, count, seed", [(5, 2, 1), (7, 2, 1), (8, 2, 3), (7, 3, 2)])
+def test_dominating_form_certifies_past_dimension_four(dim, count, seed):
+    e = random_ensemble(dim, count, seed=seed)
+    sol = solve(dominating_program(e.states))
+    assert sol.status == STATUS_SOLVED
+    assert sol.relative_gap <= 1e-6 + 1e-12
+    assert sol.cut_count == 0
+    if count == 2:
+        exact = 1.0 + trace_distance(*e.states) / 2.0
+        assert sol.lower_bound <= exact <= sol.value
+
+
+def test_dominating_form_certifies_at_dimension_sixty_four():
+    e = random_ensemble(64, 4, seed=0)
+    sol = solve(dominating_program(e.states))
+    assert sol.status == STATUS_SOLVED
+    assert sol.lower_bound <= sol.value
+    _, worst, _ = violation_certificate(dominating_program(e.states), sol.primal)
+    assert worst >= 0.0
+
+
+def test_dominating_iteration_cap_keeps_an_honest_bracket(monkeypatch):
+    monkeypatch.setattr(sdp, "_FIXED_POINT_CAP", 1)
+    e = random_ensemble(7, 3, seed=2)
+    sol = solve(dominating_program(e.states))
+    assert sol.status == STATUS_ITERATION_CAP
+    assert sol.iterations == 1
+    assert sol.lower_bound <= sol.value
+    _, worst, _ = violation_certificate(dominating_program(e.states), sol.primal)
+    assert worst >= 0.0
