@@ -1,15 +1,17 @@
 """Quantum channels, depolarizing noise, and differential-privacy checks.
 
-Channels are Kraus sets.  The depolarizing factories realize the affine
-map (1-p) rho + (p/d) I through a discrete Weyl twirl, globally on one
-d-dimensional system or locally on every qubit of a register.  The
-differential-privacy helpers evaluate the max-divergence consequence of
+A channel's general form is a Kraus set.  The depolarizing factories apply
+the affine map (1-p) rho + p tr(rho) I/d directly, globally on one
+d-dimensional system or with d = 2 on every qubit of a register; their d^2
+Weyl-twirl Kraus operators are built only when something reads `kraus`.
+The differential-privacy helpers evaluate the max-divergence consequence of
 (epsilon, 0)-DP between neighbouring ensemble members: a necessary
 condition, never a certificate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -38,46 +40,75 @@ FAMILY_DEPOLARIZING_GLOBAL = "depolarizing_global"
 FAMILY_DEPOLARIZING_LOCAL = "depolarizing_local"
 
 
-@dataclass(frozen=True)
+def _checked_kraus(kraus) -> tuple[np.ndarray, ...]:
+    """Read-only complex Kraus matrices of one shape that sum to the identity."""
+    ops = tuple(np.asarray(k, dtype=np.complex128) for k in kraus)
+    if len(ops) == 0:
+        raise ValidationError("channel needs at least one Kraus operator")
+    shape = ops[0].shape
+    if len(shape) != 2:
+        raise DimensionMismatch("Kraus operators must be matrices")
+    for k in ops:
+        if k.shape != shape:
+            raise DimensionMismatch("Kraus operators of mixed shape")
+        k.setflags(write=False)
+    stacked = np.concatenate([k for k in ops], axis=0)
+    total = stacked.conj().T @ stacked
+    if float(np.max(np.abs(total - np.eye(shape[1])))) > _TP_ATOL:
+        raise ValidationError("Kraus operators are not trace preserving")
+    return ops
+
+
 class QuantumChannel:
-    """A completely positive trace-preserving map as a Kraus family.
+    """A completely positive trace-preserving map; Kraus operators are its general form.
+
+    A channel made from Kraus operators validates them at once.  The
+    depolarizing factories make channels that carry their action on a
+    matrix instead: `apply` runs that action, and the Kraus set is built,
+    validated and cached on the first read of `kraus` (by `compose`,
+    `tensor` or any other caller).
 
     family and noise carry provenance for maps built by the factories in
     this module (the depolarizing leakage bound needs to know p); hand
     built channels leave them unset.
     """
 
-    kraus: tuple[np.ndarray, ...]
-    family: str | None = None
-    noise: float | None = None
+    __slots__ = ("_kraus", "_build", "_action", "_shape", "family", "noise")
 
-    def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=np.complex128) for k in self.kraus)
-        if len(ops) == 0:
-            raise ValidationError("channel needs at least one Kraus operator")
-        shape = ops[0].shape
-        if len(shape) != 2:
-            raise DimensionMismatch("Kraus operators must be matrices")
-        for k in ops:
-            if k.shape != shape:
-                raise DimensionMismatch("Kraus operators of mixed shape")
-            k.setflags(write=False)
-        object.__setattr__(self, "kraus", ops)
-        stacked = np.concatenate([k for k in ops], axis=0)
-        total = stacked.conj().T @ stacked
-        if float(np.max(np.abs(total - np.eye(shape[1])))) > _TP_ATOL:
-            raise ValidationError("Kraus operators are not trace preserving")
+    def __init__(self, kraus, family: str | None = None, noise: float | None = None):
+        self._kraus = _checked_kraus(kraus)
+        self._build = self._action = None
+        self._shape = self._kraus[0].shape
+        self.family = family
+        self.noise = noise
+
+    @classmethod
+    def _from_action(cls, dim: int, action, build, family: str, noise: float) -> "QuantumChannel":
+        """A dim-to-dim channel that applies action(mat) and builds its Kraus set from build()."""
+        ch = cls.__new__(cls)
+        ch._kraus = None
+        ch._build, ch._action, ch._shape = build, action, (dim, dim)
+        ch.family, ch.noise = family, noise
+        return ch
+
+    @property
+    def kraus(self) -> tuple[np.ndarray, ...]:
+        if self._kraus is None:
+            self._kraus = _checked_kraus(self._build())
+        return self._kraus
 
     @property
     def in_dim(self) -> int:
-        return self.kraus[0].shape[1]
+        return self._shape[1]
 
     @property
     def out_dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self._shape[0]
 
 
 def _apply_matrix(ch: QuantumChannel, mat: np.ndarray) -> np.ndarray:
+    if ch._action is not None:
+        return ch._action(mat)
     out = np.zeros((ch.out_dim, ch.out_dim), dtype=np.complex128)
     for k in ch.kraus:
         out += k @ mat @ k.conj().T
@@ -85,7 +116,7 @@ def _apply_matrix(ch: QuantumChannel, mat: np.ndarray) -> np.ndarray:
 
 
 def apply(ch: QuantumChannel, rho: DensityOperator) -> DensityOperator:
-    """Channel action sum_i K_i rho K_i'."""
+    """Channel action: the factory's map, or sum_i K_i rho K_i'."""
     if rho.dim != ch.in_dim:
         raise DimensionMismatch(
             f"state dimension {rho.dim} does not fit channel input {ch.in_dim}"
@@ -118,32 +149,82 @@ def _weyl_operators(d: int) -> list[np.ndarray]:
     return ops
 
 
-def depolarizing_global(p: float, d: int) -> QuantumChannel:
-    """The map rho -> (1-p) rho + (p/d) I as a Weyl-twirl Kraus family."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"depolarizing strength {p} outside [0, 1]")
-    if d < 2:
-        raise ValidationError(f"depolarizing dimension {d} < 2")
+def _depolarizing_kraus(p: float, d: int) -> list[np.ndarray]:
+    """Weyl twirl: the identity weighted 1-p+p/d^2, every other Weyl unitary p/d^2."""
     keep = 1.0 - p + p / (d * d)
     mix = p / (d * d)
-    kraus = []
-    for idx, w in enumerate(_weyl_operators(d)):
-        weight = keep if idx == 0 else mix
-        kraus.append(math.sqrt(weight) * w)
-    return QuantumChannel(tuple(kraus), family=FAMILY_DEPOLARIZING_GLOBAL, noise=p)
+    return [math.sqrt(keep if idx == 0 else mix) * w for idx, w in enumerate(_weyl_operators(d))]
+
+
+def _kron_kraus(a, b) -> list[np.ndarray]:
+    return [np.kron(ka, kb) for ka in a for kb in b]
+
+
+def _qubitwise_kraus(p: float, k: int) -> list[np.ndarray]:
+    return functools.reduce(_kron_kraus, [_depolarizing_kraus(p, 2)] * k)
+
+
+def _depolarize(mat: np.ndarray, p: float) -> np.ndarray:
+    """(1-p) rho + p tr(rho) I/d."""
+    out = (1.0 - p) * mat
+    out[np.diag_indices(mat.shape[0])] += p * np.trace(mat) / mat.shape[0]
+    return out
+
+
+def _depolarize_qubits(mat: np.ndarray, p: float, k: int) -> np.ndarray:
+    """rho -> (1-p) rho + p tr_q(rho) (x) I/2 for each qubit q; the k maps commute."""
+    t = mat.reshape((2,) * (2 * k))
+    for q in range(k):
+        half = (0.5 * p) * np.trace(t, axis1=q, axis2=k + q)
+        t = (1.0 - p) * t
+        for b in (0, 1):
+            at = [slice(None)] * (2 * k)
+            at[q] = at[k + q] = b
+            t[tuple(at)] += half
+    return t.reshape(mat.shape)
+
+
+def _check_strength(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"depolarizing strength {p} outside [0, 1]")
+
+
+def depolarizing_global(p: float, d: int) -> QuantumChannel:
+    """The map rho -> (1-p) rho + p tr(rho) I/d, applied in O(d^2).
+
+    Its Kraus set, the d^2 Weyl unitaries of the twirl, is built on first
+    read of `kraus`.
+    """
+    _check_strength(p)
+    if d < 2:
+        raise ValidationError(f"depolarizing dimension {d} < 2")
+    return QuantumChannel._from_action(
+        d,
+        functools.partial(_depolarize, p=p),
+        functools.partial(_depolarizing_kraus, p, d),
+        FAMILY_DEPOLARIZING_GLOBAL,
+        p,
+    )
 
 
 def depolarizing_local(p: float, k: int) -> QuantumChannel:
-    """Single-qubit depolarizing noise on each of k qubits (4^k Kraus)."""
+    """rho -> (1-p) rho + p tr_q(rho) (x) I/2 on each qubit q of k, in O(k 4^k).
+
+    Its Kraus set, the 4^k products of single-qubit Weyl twirls, is built
+    on first read of `kraus`.
+    """
+    _check_strength(p)
     if k < 1:
         raise ValidationError(f"qubit count {k} < 1")
     if 2**k > LOCAL_DIM_CAP:
         raise ValidationError(f"register dimension 2^{k} exceeds {LOCAL_DIM_CAP}")
-    single = depolarizing_global(p, 2)
-    ch = single
-    for _ in range(k - 1):
-        ch = tensor(ch, single)
-    return QuantumChannel(ch.kraus, family=FAMILY_DEPOLARIZING_LOCAL, noise=p)
+    return QuantumChannel._from_action(
+        2**k,
+        functools.partial(_depolarize_qubits, p=p, k=k),
+        functools.partial(_qubitwise_kraus, p, k),
+        FAMILY_DEPOLARIZING_LOCAL,
+        p,
+    )
 
 
 def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
@@ -158,8 +239,7 @@ def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
 
 def tensor(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
     """The product channel acting independently on two subsystems."""
-    kraus = tuple(np.kron(ka, kb) for ka in a.kraus for kb in b.kraus)
-    return QuantumChannel(kraus)
+    return QuantumChannel(_kron_kraus(a.kraus, b.kraus))
 
 
 def random_channel(in_dim: int, out_dim: int | None = None, kraus_count: int | None = None, seed: int = 0) -> QuantumChannel:
@@ -178,8 +258,7 @@ def random_channel(in_dim: int, out_dim: int | None = None, kraus_count: int | N
 
 def dp_epsilon_bound_depolarizing(p: float, d: int) -> float:
     """ln(1 + 2(1-p)d/p): the pure-DP epsilon of depolarizing noise, in nats."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"depolarizing strength {p} outside [0, 1]")
+    _check_strength(p)
     if d < 2:
         raise ValidationError(f"dimension {d} < 2")
     if p == 0.0:

@@ -271,7 +271,8 @@ def max_relative_entropies(rhos, sigma) -> list[float]:
     D_max is the order-infinity sandwiched divergence, log2 of the least mu
     with rho <= mu sigma: the log2 of the top eigenvalue of
     sigma^-1/2 rho sigma^-1/2, and math.inf when supp(rho) escapes
-    supp(sigma).
+    supp(sigma).  A rho equal to sigma gets exactly 0.0, which the
+    eigenvalue route would miss by rounding.
     """
     smat = _as_matrix(sigma)
     spec = _psd_spectrum("second argument", HermitianOperator(smat))
@@ -281,11 +282,13 @@ def max_relative_entropies(rhos, sigma) -> list[float]:
         rmat = _as_matrix(rho)
         if rmat.shape != smat.shape:
             raise DimensionMismatch(f"shapes {rmat.shape} and {smat.shape} differ")
-        if not _spectrum_contains(spec, rmat):
+        if np.array_equal(rmat, smat):
+            out.append(0.0)
+        elif not _spectrum_contains(spec, rmat):
             out.append(math.inf)
-            continue
-        top = eig_hermitian(HermitianOperator(root @ rmat @ root)).max
-        out.append(math.log2(top) if top > 0.0 else -math.inf)
+        else:
+            top = eig_hermitian(HermitianOperator(root @ rmat @ root)).max
+            out.append(math.log2(top) if top > 0.0 else -math.inf)
     return out
 
 

@@ -179,11 +179,6 @@ def _spectrum_power(spec: Spectrum, t: float) -> HermitianOperator:
     return HermitianOperator((v * powered) @ v.conj().T)
 
 
-def support_projector(h) -> HermitianOperator:
-    """Projector onto the support of a PSD operator."""
-    return operator_power(h, 0.0)
-
-
 def support_contained(rho, sigma, tol: float = SUPPORT_RTOL) -> bool:
     """True iff supp(rho) lies inside supp(sigma) at the given threshold.
 

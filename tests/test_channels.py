@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import qleak.channels as channels_module
 from helpers import random_ensemble
 from qleak.channels import (
     AllPairs,
@@ -86,6 +87,46 @@ def test_local_depolarizing_equals_tensor_of_single_qubit_maps():
         depolarizing_local(0.3, 7)
     with pytest.raises(ValidationError):
         depolarizing_local(0.3, 0)
+    with pytest.raises(ValidationError):
+        depolarizing_local(1.2, 2)
+    with pytest.raises(ValidationError):
+        depolarizing_local(-0.1, 2)
+
+
+def _kraus_sum(ch, mat):
+    return sum(k @ mat @ k.conj().T for k in ch.kraus)
+
+
+def test_depolarizing_apply_equals_its_kraus_sum():
+    rng = np.random.default_rng(11)
+    channels = [(d, depolarizing_global, d) for d in (2, 3, 5, 8)]
+    channels += [(2**k, depolarizing_local, k) for k in (1, 2, 3)]
+    for dim, factory, size in channels:
+        for p in (0.0, 0.4, 1.0):
+            ch = factory(p, size)
+            rho = random_density(dim, int(rng.integers(2, dim + 1)), int(rng.integers(2**31)))
+            assert np.max(np.abs(apply(ch, rho).mat - _kraus_sum(ch, rho.mat))) <= 1e-12
+
+
+def _pauli_twirl_each_qubit(mat, p, k):
+    """Reference for depolarizing_local: (1-p) rho + (p/4) sum_P P_q rho P_q, qubit by qubit."""
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+    for q in range(k):
+        lifted = [np.kron(np.kron(np.eye(2**q), s), np.eye(2 ** (k - q - 1))) for s in paulis]
+        mat = (1.0 - p) * mat + (p / 4.0) * sum(u @ mat @ u.conj().T for u in lifted)
+    return mat
+
+
+def test_large_depolarizing_apply_builds_no_kraus(monkeypatch):
+    def refuse(d):
+        raise AssertionError(f"built the {d * d} Weyl Kraus operators")
+
+    monkeypatch.setattr(channels_module, "_weyl_operators", refuse)
+    rho = random_density(64, 5, seed=12)
+    out = apply(depolarizing_global(0.3, 64), rho).mat
+    assert np.allclose(out, 0.7 * rho.mat + (0.3 / 64) * np.eye(64), atol=1e-12)
+    out = apply(depolarizing_local(0.3, 6), rho).mat
+    assert np.allclose(out, _pauli_twirl_each_qubit(rho.mat, 0.3, 6), atol=1e-12)
 
 
 def test_compose_and_tensor_stay_trace_preserving():
@@ -96,6 +137,14 @@ def test_compose_and_tensor_stay_trace_preserving():
     assert np.allclose(apply(c, rho).mat, apply(a, apply(b, rho)).mat, atol=1e-10)
     t = tensor(a, depolarizing_global(0.5, 2))
     assert t.in_dim == 6
+    sigma, tau = random_density(3, 3, seed=5), random_density(2, 2, seed=9)
+    out = apply(t, DensityOperator.from_matrix(np.kron(sigma.mat, tau.mat))).mat
+    want = np.kron(apply(a, sigma).mat, 0.5 * tau.mat + 0.25 * np.eye(2))
+    assert np.allclose(out, want, atol=1e-10)
+    inner = random_channel(2, seed=6)
+    noisy = compose(depolarizing_local(0.4, 1), inner)
+    want = apply(depolarizing_local(0.4, 1), apply(inner, tau)).mat
+    assert np.allclose(apply(noisy, tau).mat, want, atol=1e-10)
     with pytest.raises(DimensionMismatch):
         compose(a, random_channel(2, seed=4))
 

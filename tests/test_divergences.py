@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qleak.channels import apply, depolarizing_global
 from qleak.divergences import (
     ORDER_INF,
     ORDER_ONE,
@@ -192,6 +193,14 @@ def _dmax_oracle(rho, sigma):
     on = w > 1e-9 * w[-1]
     root = (v[:, on] / np.sqrt(w[on])) @ v[:, on].conj().T
     return math.log2(np.linalg.eigvalsh(root @ rho.mat @ root)[-1])
+
+
+def test_max_relative_entropy_of_a_state_against_itself_is_exactly_zero():
+    a = random_density(4, 4, seed=3)
+    assert max_relative_entropies([a], a) == [0.0]
+    assert max_relative_entropies([DensityOperator.from_matrix(a.mat.copy())], a) == [0.0]
+    half = apply(depolarizing_global(0.5, 2), DensityOperator.maximally_mixed(2))
+    assert max_relative_entropies([half], half) == [0.0]
 
 
 def test_max_relative_entropies_match_eigh_oracle():
