@@ -303,14 +303,20 @@ def _leakage_table(e: Ensemble, gap_tol: float, restarts: int, seed: int) -> tup
     lines.append("ordering checks (slack in bits):")
     for label, slack in report.checks.items():
         lines.append(f"  ok  {label:<26} {slack:.3e}")
-    statuses = {
-        report.sandwiched_inf.status,
-        report.maximal.status,
-        report.barycentric.status,
-        report.pairwise.status,
+    rows = {
+        "sandwiched-inf MI": report.sandwiched_inf,
+        "maximal Q": report.maximal,
+        "barycentric B": report.barycentric,
+        "pairwise R": report.pairwise,
     }
-    code = 0 if statuses <= {STATUS_SOLVED} else 3
-    return "\n".join(lines) + "\n", code
+    capped = [
+        f"{label} {_fmt(cert.value)} bits, gap {cert.gap:.1e}"
+        for label, cert in rows.items()
+        if cert.status != STATUS_SOLVED
+    ]
+    if capped:
+        print(f"iteration cap: {'; '.join(capped)}", file=sys.stderr)
+    return "\n".join(lines) + "\n", 3 if capped else 0
 
 
 def _cmd_leakage(args) -> tuple[str, int]:

@@ -10,9 +10,10 @@ The weights form runs cutting planes: its inequalities are relaxed to cuts
 v' (.) v >= v' rho_x' v, entered one eigenbasis at a time from one batched
 product of quadratic forms, and seeded with the eigenbases of every state
 and every pairwise difference.  Each iteration solves the cut relaxation
-exactly through its LP dual (a certified lower bound), inflates the
-relaxation point until it is feasible (a certified upper bound), and cuts
-along every violated eigenspace.  The dominating form is the dual of the
+exactly through its LP dual (a certified lower bound), scales the
+relaxation point by 2^D_max, the closed-form least factor that makes it
+dominate every state (a certified upper bound), and cuts along every
+violated eigenspace.  The dominating form is the dual of the
 optimal guessing game and needs no LP: a measurement from the minimum-error
 fixed point gives the lower bound, and an operator built from it gives the
 upper bound.  Both stop when the relative gap between the bounds closes.
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .divergences import max_relative_entropies
 from .errors import LpSolverError, ValidationError
 from .linalg import (
     DensityOperator,
@@ -33,7 +35,7 @@ from .linalg import (
     _spectrum_power,
     eig_hermitian,
 )
-from .simplex import STATUS_OPTIMAL, resume_phase2, solve_standard_form
+from .simplex import STATUS_OPTIMAL, resume_phase2
 
 FORM_WEIGHTS = "weights"
 FORM_DOMINATING = "dominating"
@@ -42,9 +44,9 @@ STATUS_SOLVED = "optimal"
 STATUS_ITERATION_CAP = "iteration_cap"
 
 DEFAULT_GAP_TOL = 1e-6
-DEFAULT_MAX_CUTS = 2000
 FEAS_TOL = 1e-9
-_BISECT_STEPS = 40
+# Pool size past which the weights form stops as iteration_cap.
+_MAX_CUTS = 2000
 
 
 @dataclass(frozen=True)
@@ -130,19 +132,6 @@ def violation_certificate(program: LmiProgram, point):
     return idx, spectra[idx].min, spectra[idx].eigenvectors[:, 0].copy()
 
 
-def _is_feasible_shift(a: np.ndarray, states, scale: float) -> bool:
-    """True if scale * a dominates every state within FEAS_TOL."""
-    d = a.shape[0]
-    shift = FEAS_TOL * np.eye(d)
-    for state in states:
-        m = scale * a - state.mat + shift
-        try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            return False
-    return True
-
-
 class _CutPool:
     """Accumulated cuts with cached LP data for one weights program."""
 
@@ -186,18 +175,19 @@ class _CutPool:
         g = np.stack(self.rows)
         h = np.asarray(self.rhs)
         # dual: max h.lam s.t. G'.lam <= 1, lam >= 0.  Slack columns come
-        # first so their indices survive cut growth.
+        # first so their indices survive cut growth, and with b = 1 they
+        # are a feasible basis: a cold solve starts there, and so does the
+        # one retry of a warm start that fails.
         m = len(self.stack)
         a_eq = np.hstack([np.eye(m), g.T])
         cost = np.concatenate([np.zeros(m), -h])
         b_eq = np.ones(m)
-        res = None
-        if self._warm is not None:
-            res = resume_phase2(cost, a_eq, b_eq, self._warm)
-        if res is None or res.status != STATUS_OPTIMAL:
-            res = solve_standard_form(cost, a_eq, b_eq)
-            if res.status != STATUS_OPTIMAL:
-                raise LpSolverError(f"cut relaxation LP returned {res.status}")
+        slack = list(range(m))
+        res = resume_phase2(cost, a_eq, b_eq, self._warm or slack)
+        if res.status != STATUS_OPTIMAL and self._warm is not None:
+            res = resume_phase2(cost, a_eq, b_eq, slack)
+        if res.status != STATUS_OPTIMAL:
+            raise LpSolverError(f"cut relaxation LP returned {res.status}")
         self._warm = res.basis
         return -res.objective, np.clip(-res.multipliers, 0.0, None)
 
@@ -304,18 +294,18 @@ def _solve_dominating(program: LmiProgram, gap_tol: float) -> SdpSolution:
     )
 
 
-def solve(
-    program: LmiProgram,
-    gap_tol: float = DEFAULT_GAP_TOL,
-    max_cuts: int = DEFAULT_MAX_CUTS,
-) -> SdpSolution:
+def solve(program: LmiProgram, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     """Bracket the optimum until the relative gap closes.
 
     The returned value is the certified upper bound and lower_bound a
     certified lower bound, so lower_bound <= optimum <= value always holds.
-    In the weights form lower_bound is the last relaxation optimum, and
-    candidate points are lifted onto the feasible cone before acceptance,
-    so the upper bound never undercuts the optimum by relaxation slack.
+    In the weights form lower_bound is the last relaxation optimum.  A
+    relaxation point z with A = sum_x z_x rho_x that violates an LMI is
+    scaled by 2^max_x D_max(rho_x || A), the least t with t A >= rho_x for
+    every x; the candidate is then lifted onto the feasible cone before
+    acceptance, so the upper bound never undercuts the optimum by
+    eigensolver roundoff.  A point whose A misses a state's support has an
+    infinite D_max and yields no candidate.
     """
     if not (0.0 < gap_tol <= 1e-2):
         raise ValidationError(f"gap_tol {gap_tol!r} outside (0, 1e-2]")
@@ -344,24 +334,12 @@ def solve(
             if spec.min < -FEAS_TOL
         ]
 
-        if not violated and obj < best_obj:
-            cand_obj, cand_point = _certify_point(program, z, obj)
-            if cand_obj < best_obj:
-                best_obj, best_point = cand_obj, cand_point
-        if violated and obj > 0.0 and _is_feasible_shift(a, program.states, 2.0):
-            # Smallest inflation (1 + s), s <= 1, restoring feasibility.
-            lo, hi = 0.0, 1.0
-            for _ in range(_BISECT_STEPS):
-                if hi - lo <= 1e-14:
-                    break
-                mid = 0.5 * (lo + hi)
-                if _is_feasible_shift(a, program.states, 1.0 + mid):
-                    hi = mid
-                else:
-                    lo = mid
-            candidate = (1.0 + hi) * obj
-            if candidate < best_obj:
-                cand_obj, cand_point = _certify_point(program, z * (1.0 + hi), candidate)
+        if 0.0 < obj < best_obj:
+            # A point within FEAS_TOL of feasible keeps scale 1: the lift in
+            # _certify_point repairs it more cheaply than a rounded 2^D_max.
+            scale = 2.0 ** max(max_relative_entropies(program.states, a)) if violated else 1.0
+            if scale * obj < best_obj:
+                cand_obj, cand_point = _certify_point(program, z * scale, scale * obj)
                 if cand_obj < best_obj:
                     best_obj, best_point = cand_obj, cand_point
 
@@ -369,7 +347,7 @@ def solve(
         if gap <= gap_tol:
             status = STATUS_SOLVED
             break
-        if not violated or len(pool) + sum(v.shape[1] for _, v in violated) > max_cuts:
+        if not violated or len(pool) + sum(v.shape[1] for _, v in violated) > _MAX_CUTS:
             status = STATUS_ITERATION_CAP
             break
         added = sum(pool.add(vecs, (idx,)) for idx, vecs in violated)

@@ -1,6 +1,7 @@
-"""Dense two-phase primal simplex for small standard-form programs.
+"""Dense primal simplex for small standard-form programs.
 
-Solves min c'x subject to A x = b, x >= 0.  Entering columns follow
+Solves min c'x subject to A x = b, x >= 0, starting from a primal-feasible
+basis the caller supplies (there is no phase 1).  Entering columns follow
 Bland's rule (lowest eligible index); the leaving row takes the largest
 pivot element among minimum-ratio ties, which keeps divisions away from
 noise-scale entries on degenerate vertices.  The tableau is periodically
@@ -14,14 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LpSolverError
-
 # A reduced cost must clear this to be considered an improving column.
 ENTERING_TOL = 1e-11
 # Column entries at or below this are treated as nonpositive by the ratio
 # test; dividing by anything smaller amplifies tableau noise past repair.
 _RATIO_TOL = 1e-9
-_FEAS_TOL = 1e-9
 _REFACTOR_EVERY = 64
 # Consecutive non-improving pivots tolerated before the degenerate-face
 # escape kicks in (coarse optimality check, then Bland tie-breaking).
@@ -44,8 +42,7 @@ class SimplexResult:
     objective: float
     multipliers: np.ndarray | None
     iterations: int
-    # Final basis (column indices), only reported when no redundant rows
-    # were dropped, so callers can warm-start a related solve.
+    # Final basis (column indices), so callers can warm-start a related solve.
     basis: list[int] | None = None
 
 
@@ -62,10 +59,11 @@ def _refactor(tab, basis, ext, rhs) -> bool:
     return True
 
 
-def _pivot_loop(tab, basis, cost, allowed, max_iterations, ext, rhs):
+def _pivot_loop(tab, basis, cost, ext, rhs):
     """Run primal simplex pivots in place; tab is [A | b] in basis form."""
     m, ncols = tab.shape
     n = ncols - 1
+    max_iterations = 200 * (m + n + 10)
     iters = 0
     since_refactor = 0
     stall = 0
@@ -77,24 +75,24 @@ def _pivot_loop(tab, basis, cost, allowed, max_iterations, ext, rhs):
                 since_refactor = 0
         cb = cost[basis]
         # reduced costs: c_j - cb . tab[:, j]
-        reduced = cost[:n] - cb @ tab[:, :n]
-        candidates = np.flatnonzero((reduced < -ENTERING_TOL) & allowed[:n])
+        reduced = cost - cb @ tab[:, :n]
+        candidates = np.flatnonzero(reduced < -ENTERING_TOL)
         if candidates.size == 0 and since_refactor > 0:
             # Optimality may be an artifact of drift; recheck when fresh.
             if _refactor(tab, basis, ext, rhs):
                 since_refactor = 0
-                reduced = cost[:n] - cost[basis] @ tab[:, :n]
-                candidates = np.flatnonzero((reduced < -ENTERING_TOL) & allowed[:n])
+                reduced = cost - cost[basis] @ tab[:, :n]
+                candidates = np.flatnonzero(reduced < -ENTERING_TOL)
         if candidates.size == 0:
             return "optimal", iters
         if stall >= _STALL_LIMIT:
             if _refactor(tab, basis, ext, rhs):
                 since_refactor = 0
-                reduced = cost[:n] - cost[basis] @ tab[:, :n]
-                candidates = np.flatnonzero((reduced < -ENTERING_TOL) & allowed[:n])
+                reduced = cost - cost[basis] @ tab[:, :n]
+                candidates = np.flatnonzero(reduced < -ENTERING_TOL)
                 if candidates.size == 0:
                     return "optimal", iters
-            if float(np.min(reduced[allowed[:n]])) >= -_COARSE_TOL:
+            if float(np.min(reduced)) >= -_COARSE_TOL:
                 return "optimal", iters
             stall = 0
             stalled_mode = True
@@ -133,106 +131,15 @@ def _pivot_loop(tab, basis, cost, allowed, max_iterations, ext, rhs):
             return "iteration_limit", iters
 
 
-def solve_standard_form(
-    cost,
-    a_eq,
-    b_eq,
-    *,
-    max_iterations: int | None = None,
-) -> SimplexResult:
-    """Minimise cost'x over A x = b, x >= 0.
-
-    Returns the optimum with the equality-constraint shadow prices, or a
-    result whose status explains why none exists.
-    """
-    c = np.asarray(cost, dtype=np.float64).reshape(-1)
-    a = np.asarray(a_eq, dtype=np.float64)
-    b = np.asarray(b_eq, dtype=np.float64).reshape(-1)
-    if a.ndim != 2 or a.shape != (b.size, c.size):
-        raise LpSolverError(f"inconsistent LP shapes A{a.shape}, b{b.shape}, c{c.shape}")
-    m, n = a.shape
-    if max_iterations is None:
-        max_iterations = 200 * (m + n + 10)
-
-    flip = b < 0.0
-    a = a.copy()
-    a[flip, :] *= -1.0
-    b = np.abs(b)
-
-    # Phase 1: artificial identity basis.
-    ext = np.hstack([a, np.eye(m)])
-    tab = np.hstack([ext, b[:, None]])
-    basis = list(range(n, n + m))
-    cost1 = np.concatenate([np.zeros(n), np.ones(m)])
-    allowed = np.ones(n + m, dtype=bool)
-    status, it1 = _pivot_loop(tab, basis, cost1, allowed, max_iterations, ext, b)
-    if status == "iteration_limit":
-        return SimplexResult(STATUS_ITERATION_LIMIT, None, np.nan, None, it1)
-    phase1 = float(cost1[basis] @ tab[:, -1])
-    if phase1 > _FEAS_TOL * max(1.0, float(np.max(b, initial=0.0))):
-        return SimplexResult(STATUS_INFEASIBLE, None, np.nan, None, it1)
-
-    # Degenerate artificials may survive phase 1 at level zero.  They must
-    # leave the basis before phase 2, else pivots could regrow them unseen
-    # (their phase-2 cost is zero).  A row offering no pivot among the
-    # original columns is redundant and is dropped.
-    redundant = []
-    for row in range(m):
-        if basis[row] < n:
-            continue
-        j = int(np.argmax(np.abs(tab[row, :n])))
-        if abs(tab[row, j]) <= 1e-9:
-            redundant.append(row)
-            continue
-        tab[row, :] /= tab[row, j]
-        other = np.arange(m) != row
-        tab[other, :] -= np.outer(tab[other, j], tab[row, :])
-        basis[row] = j
-    keep_rows = [r for r in range(m) if r not in redundant]
-    if redundant:
-        tab = tab[keep_rows, :]
-        basis = [basis[r] for r in keep_rows]
-    ext2 = ext[keep_rows, :]
-    b2 = b[keep_rows]
-    _refactor(tab, basis, ext2, b2)
-
-    cost2 = np.concatenate([c, np.zeros(m)])
-    allowed2 = np.concatenate([np.ones(n, dtype=bool), np.zeros(m, dtype=bool)])
-    status, it2 = _pivot_loop(tab, basis, cost2, allowed2, max_iterations, ext2, b2)
-    iters = it1 + it2
-    if status == "iteration_limit":
-        return SimplexResult(STATUS_ITERATION_LIMIT, None, np.nan, None, iters)
-    if status == "unbounded":
-        return SimplexResult(STATUS_UNBOUNDED, None, -np.inf, None, iters)
-
-    x = np.zeros(n)
-    rhs = tab[:, -1]
-    for row, var in enumerate(basis):
-        if var < n:
-            x[var] = max(0.0, float(rhs[row]))
-    residual = float(np.max(np.abs(a @ x - b), initial=0.0))
-    if residual > 1e-6 * max(1.0, float(np.max(np.abs(b), initial=0.0))):
-        raise LpSolverError(f"optimal vertex failed the residual check ({residual:.2e})")
-    objective = float(c @ x)
-    bmat = a[keep_rows, :][:, basis]
-    try:
-        pi_kept = np.linalg.solve(bmat.T, c[np.asarray(basis)])
-    except np.linalg.LinAlgError as exc:
-        raise LpSolverError("singular final basis") from exc
-    pi = np.zeros(m)
-    pi[keep_rows] = pi_kept
-    pi[flip] *= -1.0
-    final_basis = list(basis) if len(keep_rows) == m else None
-    return SimplexResult(STATUS_OPTIMAL, x, objective, pi, iters, final_basis)
-
-
 def resume_phase2(cost, a_eq, b_eq, basis) -> SimplexResult:
-    """Re-optimise from a known feasible basis after columns were appended.
+    """Minimise cost'x over A x = b, x >= 0 from a primal-feasible basis.
 
-    The basis must index original columns of the enlarged system and stay
-    primal feasible (the right-hand side is unchanged).  Falls back to a
-    non-optimal status when the basis cannot be refactorised, in which
-    case the caller should solve from scratch.
+    The basis lists m column indices, for example the slack columns of a
+    fresh LP or the basis of an earlier solve before columns were appended.
+    A basis that is out of range, singular or gives a negative right-hand
+    side is reported as infeasible without pivoting, so the caller can
+    retry from another one.  An optimum carries the equality-constraint
+    shadow prices and its final basis.
     """
     c = np.asarray(cost, dtype=np.float64).reshape(-1)
     a = np.asarray(a_eq, dtype=np.float64)
@@ -240,18 +147,13 @@ def resume_phase2(cost, a_eq, b_eq, basis) -> SimplexResult:
     m, n = a.shape
     if len(basis) != m or any(j >= n for j in basis):
         return SimplexResult(STATUS_INFEASIBLE, None, np.nan, None, 0)
-    flip = b < 0.0
-    a = a.copy()
-    a[flip, :] *= -1.0
-    b = np.abs(b)
     tab = np.empty((m, n + 1))
     basis = list(basis)
     if not _refactor(tab, basis, a, b):
         return SimplexResult(STATUS_INFEASIBLE, None, np.nan, None, 0)
     if float(np.min(tab[:, -1], initial=0.0)) < -1e-9:
         return SimplexResult(STATUS_INFEASIBLE, None, np.nan, None, 0)
-    allowed = np.ones(n, dtype=bool)
-    status, iters = _pivot_loop(tab, basis, c, allowed, 200 * (m + n + 10), a, b)
+    status, iters = _pivot_loop(tab, basis, c, a, b)
     if status != "optimal":
         return SimplexResult(status, None, np.nan, None, iters)
     x = np.zeros(n)
@@ -265,5 +167,4 @@ def resume_phase2(cost, a_eq, b_eq, basis) -> SimplexResult:
         pi = np.linalg.solve(a[:, basis].T, c[np.asarray(basis)])
     except np.linalg.LinAlgError:
         return SimplexResult(STATUS_INFEASIBLE, None, np.nan, None, iters)
-    pi[flip] *= -1.0
     return SimplexResult(STATUS_OPTIMAL, x, objective, pi, iters, list(basis))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -300,4 +301,9 @@ def test_leakage_iteration_cap_exits_three(tmp_path, monkeypatch, capsys):
     path = tmp_path / "hard.json"
     path.write_text(json.dumps(ensemble_to_json(random_ensemble(7, 3, seed=2))))
     assert main(["leakage", "--input", str(path), "--restarts", "0"]) == 3
-    assert "maximal Q" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "maximal Q" in captured.out
+    (line,) = captured.err.splitlines()
+    assert line.startswith("iteration cap: sandwiched-inf MI ")
+    assert "; maximal Q " in line and "barycentric B" not in line
+    assert re.search(r"maximal Q \d+\.\d{6} bits, gap \d\.\de[-+]\d\d", line)

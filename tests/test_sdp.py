@@ -206,3 +206,16 @@ def test_dominating_iteration_cap_keeps_an_honest_bracket(monkeypatch):
     assert sol.lower_bound <= sol.value
     _, worst, _ = violation_certificate(dominating_program(e.states), sol.primal)
     assert worst >= 0.0
+
+
+def test_weights_cut_cap_keeps_an_honest_bracket(monkeypatch):
+    # criterion-2 ensemble i = 1 needs cuts past its seeded pool
+    program = weights_program(random_ensemble(3, 3, seed=1001).states)
+    seeded = len(_seeded_pool(program))
+    monkeypatch.setattr(sdp, "_MAX_CUTS", seeded)
+    sol = solve(program)
+    assert sol.status == STATUS_ITERATION_CAP
+    assert sol.iterations == 1 and sol.cut_count == seeded
+    assert sol.lower_bound <= sol.value
+    _, worst, _ = violation_certificate(program, sol.primal)
+    assert worst >= -5 * FEAS_TOL

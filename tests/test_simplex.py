@@ -1,8 +1,8 @@
-"""Standard-form simplex against a brute-force vertex-enumeration oracle."""
+"""Primal simplex from a given feasible basis against a vertex-enumeration oracle."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_force_lp
@@ -11,12 +11,17 @@ from qleak.simplex import (
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     resume_phase2,
-    solve_standard_form,
 )
 
 
-def _check_against_oracle(cost, a, b, atol=1e-7):
-    res = solve_standard_form(cost, a, b)
+def _cut_lp(g, h):
+    """The cut pool's LP: min -h.lam over [I | G'] (s, lam) = 1, s, lam >= 0."""
+    m = g.shape[1]
+    return np.concatenate([np.zeros(m), -h]), np.hstack([np.eye(m), g.T]), np.ones(m)
+
+
+def _check_against_oracle(cost, a, b, basis, atol=1e-7):
+    res = resume_phase2(cost, a, b, basis)
     status, value = brute_force_lp(cost, a, b)
     assert res.status == status
     if status == STATUS_OPTIMAL:
@@ -32,7 +37,7 @@ def _check_against_oracle(cost, a, b, atol=1e-7):
 
 def test_one_dimensional_box():
     res = _check_against_oracle(
-        np.array([-1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([1.0])
+        np.array([-1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([1.0]), [1]
     )
     assert res.objective == pytest.approx(-1.0)
     assert np.allclose(res.x, [1.0, 0.0], atol=1e-9)
@@ -49,31 +54,19 @@ def test_assignment_style_lp():
     )
     b = np.array([1.0, 1.0, 1.0])
     cost = np.array([1.0, 2.0, 3.0, 1.0])
-    _check_against_oracle(cost, a, b)
-
-
-def test_infeasible_when_rows_cannot_mix():
-    a = np.array([[1.0, 2.0], [1.0, 2.0]])
-    b = np.array([1.0, 2.0])
-    res = solve_standard_form(np.ones(2), a, b)
-    assert res.status == STATUS_INFEASIBLE
-
-
-def test_nonnegative_matrix_with_negative_rhs_is_flipped_not_infeasible():
-    # b < 0 rows are sign-flipped internally; x = 1 solves this one.
-    a = np.array([[-1.0, 0.0], [0.0, 1.0]])
-    b = np.array([-1.0, 1.0])
-    res = solve_standard_form(np.array([1.0, 1.0]), a, b)
-    assert res.status == STATUS_OPTIMAL
-    assert np.allclose(res.x, [1.0, 1.0], atol=1e-9)
+    # x00 = x11 = 1 with x01 basic at zero: a degenerate feasible start
+    _check_against_oracle(cost, a, b, [0, 3, 1])
 
 
 def test_unbounded_detection():
     # min -x1 with x1 - x2 = 0 lets both grow without bound
     a = np.array([[1.0, -1.0]])
     b = np.array([0.0])
-    res = solve_standard_form(np.array([-1.0, 0.0]), a, b)
+    res = resume_phase2(np.array([-1.0, 0.0]), a, b, [0])
     assert res.status == STATUS_UNBOUNDED
+    # a cut that weighs no state lets its multiplier grow without bound
+    cost, a, b = _cut_lp(np.array([[0.5, 0.25], [0.0, 0.0]]), np.array([1.0, 0.5]))
+    assert resume_phase2(cost, a, b, [0, 1]).status == STATUS_UNBOUNDED
 
 
 def test_duplicate_columns_and_degenerate_rhs():
@@ -84,58 +77,34 @@ def test_duplicate_columns_and_degenerate_rhs():
     x0[[0, 1]] = [1.0, 0.0]  # degenerate: basic variable at zero
     b = a @ x0
     cost = np.abs(rng.normal(size=6))
-    _check_against_oracle(cost, a, b)
-
-
-def test_redundant_rows_are_dropped():
-    a = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
-    b = np.array([1.0, 2.0, 1.0])
-    res = solve_standard_form(np.array([1.0, 2.0, 0.5]), a, b)
-    assert res.status == STATUS_OPTIMAL
-    assert res.objective == pytest.approx(1.5)
+    # columns 1 and 2 enter the start basis at level zero
+    _check_against_oracle(cost, a, b, [0, 1, 2])
 
 
 @settings(deadline=None, max_examples=80)
 @given(
     m=st.integers(1, 4),
-    n=st.integers(1, 7),
+    cuts=st.integers(1, 6),
     seed=st.integers(0, 10**6),
-    degenerate=st.booleans(),
+    sparse=st.booleans(),
 )
-def test_matches_brute_force_on_feasible_instances(m, n, seed, degenerate):
+def test_matches_brute_force_on_feasible_instances(m, cuts, seed, sparse):
     rng = np.random.default_rng(seed)
-    n = max(n, m)
-    # quarter-integer data provokes ties and degenerate vertices
-    a = rng.integers(-8, 9, size=(m, n)) / 4.0
-    assume(np.linalg.matrix_rank(a) == m)  # the oracle assumes full row rank
-    x0 = rng.integers(0, 5, size=n) / 2.0
-    if degenerate:
-        x0[rng.integers(0, n)] = 0.0
-    b = a @ x0
-    cost = rng.integers(0, 9, size=n) / 4.0  # nonnegative => bounded
-    _check_against_oracle(cost, a, b)
-
-
-@settings(deadline=None, max_examples=40)
-@given(m=st.integers(1, 3), n=st.integers(2, 6), seed=st.integers(0, 10**6))
-def test_flags_infeasible_positive_cone_instances(m, n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(0.1, 2.0, size=(m, n))
-    b = rng.uniform(0.5, 2.0, size=m)
-    b[rng.integers(0, m)] *= -1.0
-    res = solve_standard_form(np.ones(n), a, b)
-    # a >= 0 and some b < 0 after the internal sign flip means the flipped
-    # row needs nonpositive coefficients to reach a positive rhs
-    status, _ = brute_force_lp(np.ones(n), a, b)
-    assert res.status == status == STATUS_INFEASIBLE
+    # quarter-integer cut rows provoke ties and degenerate vertices
+    g = rng.integers(0, 9, size=(cuts, m)) / 4.0
+    if sparse:
+        g[rng.random(size=g.shape) < 0.5] = 0.0
+    g[:, rng.integers(0, m)] += 0.25  # every cut weighs some state: bounded
+    h = rng.integers(0, 9, size=cuts) / 4.0
+    cost, a, b = _cut_lp(g, h)
+    _check_against_oracle(cost, a, b, list(range(m)))
 
 
 def test_multipliers_certify_optimality():
     rng = np.random.default_rng(9)
-    a = rng.normal(size=(3, 6))
-    b = a @ np.abs(rng.normal(size=6))
-    cost = np.abs(rng.normal(size=6))
-    res = solve_standard_form(cost, a, b)
+    g = rng.uniform(0.05, 1.0, size=(6, 3))
+    cost, a, b = _cut_lp(g, rng.uniform(0.1, 1.0, size=6))
+    res = resume_phase2(cost, a, b, [0, 1, 2])
     assert res.status == STATUS_OPTIMAL
     reduced = cost - a.T @ res.multipliers
     assert float(np.min(reduced)) >= -1e-7
@@ -144,18 +113,16 @@ def test_multipliers_certify_optimality():
 
 def test_warm_start_matches_cold_solve_after_column_append():
     rng = np.random.default_rng(21)
-    a = rng.normal(size=(3, 5))
-    b = a @ np.abs(rng.normal(size=5))
-    cost = np.abs(rng.normal(size=5))
-    first = solve_standard_form(cost, a, b)
+    g = rng.uniform(0.05, 1.0, size=(5, 3))
+    h = rng.uniform(0.1, 1.0, size=5)
+    first = resume_phase2(*_cut_lp(g, h), [0, 1, 2])
     assert first.status == STATUS_OPTIMAL and first.basis is not None
-    # append columns; the old basis stays primal feasible
-    extra = rng.normal(size=(3, 2))
-    a2 = np.hstack([a, extra])
-    cost2 = np.concatenate([cost, np.abs(rng.normal(size=2))])
-    warm = resume_phase2(cost2, a2, b, first.basis)
-    cold = solve_standard_form(cost2, a2, b)
-    assert warm.status == STATUS_OPTIMAL
+    # append cuts; the old basis stays primal feasible
+    g2 = np.vstack([g, rng.uniform(0.05, 1.0, size=(2, 3))])
+    h2 = np.concatenate([h, rng.uniform(0.1, 1.0, size=2)])
+    warm = resume_phase2(*_cut_lp(g2, h2), first.basis)
+    cold = resume_phase2(*_cut_lp(g2, h2), [0, 1, 2])
+    assert warm.status == cold.status == STATUS_OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
 
 
