@@ -78,6 +78,8 @@ def _matrix_from_json(rows, label: str) -> np.ndarray:
 def _convert(value, kind, field: str, what: str = ""):
     """kind(value), or a ValidationError that names the field."""
     try:
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError("fractional part")
         return kind(value)
     except (TypeError, ValueError, OverflowError) as ex:
         what = what or ("an integer" if kind is int else "a number")
@@ -145,10 +147,8 @@ def parse_channel(doc: dict) -> QuantumChannel:
             _channel_param(params, "p", float), _channel_param(params, "qubits", int)
         )
     if kind == "kraus":
-        mats = [
-            _matrix_from_json(rows, f"kraus[{i}]")
-            for i, rows in enumerate(params.get("kraus", []))
-        ]
+        entries = _expect(params.get("kraus", []), list, "params.kraus")
+        mats = [_matrix_from_json(rows, f"kraus[{i}]") for i, rows in enumerate(entries)]
         return QuantumChannel(tuple(mats))
     raise ValidationError(f"channel kind '{kind}' not recognized")
 
@@ -278,6 +278,22 @@ def _basis_ensemble(dim: int) -> Ensemble:
     return Ensemble.uniform(tuple(states))
 
 
+def _cap_exit(capped: list[str]) -> int:
+    """Exit code 3 after one stderr line naming each capped row, else 0."""
+    if capped:
+        print(f"iteration cap: {'; '.join(capped)}", file=sys.stderr)
+    return 3 if capped else 0
+
+
+def _capped_b(b_rows) -> list[str]:
+    """Cap notes for the (p, bits, gap, status) rows of a barycentric B grid."""
+    return [
+        f"barycentric B at p={_fmt(p)} {_fmt(bits)} bits, gap {gap:.1e}"
+        for p, bits, gap, status in b_rows
+        if status != STATUS_SOLVED
+    ]
+
+
 def _leakage_table(e: Ensemble, gap_tol: float, restarts: int, seed: int) -> tuple[str, int]:
     report = inequality_chain_report(e, gap_tol=gap_tol, restarts=restarts, seed=seed)
     lines = [f"ensemble: {e.count} states in dimension {e.dim}"]
@@ -314,9 +330,7 @@ def _leakage_table(e: Ensemble, gap_tol: float, restarts: int, seed: int) -> tup
         for label, cert in rows.items()
         if cert.status != STATUS_SOLVED
     ]
-    if capped:
-        print(f"iteration cap: {'; '.join(capped)}", file=sys.stderr)
-    return "\n".join(lines) + "\n", 3 if capped else 0
+    return "\n".join(lines) + "\n", _cap_exit(capped)
 
 
 def _cmd_leakage(args) -> tuple[str, int]:
@@ -395,7 +409,8 @@ def _cmd_tradeoff(args) -> tuple[str, int]:
                 )
             )
         )
-    return "\n".join(lines) + "\n", 0
+    b_rows = ((r.p, r.leakage_B, r.leakage_B_gap, r.leakage_B_status) for r in rows)
+    return "\n".join(lines) + "\n", _cap_exit(_capped_b(b_rows))
 
 
 def _cmd_sweep(args) -> tuple[str, int]:
@@ -409,14 +424,15 @@ def _cmd_sweep(args) -> tuple[str, int]:
         ch = depolarizing_global(p, e.dim)
         b, r = leakage_after_channel(ch, e, gap_tol=args.gap_tol)
         eps = dp_epsilon_bound_depolarizing(p, e.dim)
-        return p, eps, eps / math.log(2.0), b.value, r.value
+        return (p, eps, eps / math.log(2.0), b.value, r.value), b
 
     with ThreadPoolExecutor(max_workers=_workers(len(grid))) as pool:
         rows = list(pool.map(one, grid))
     lines = [SWEEP_HEADER]
-    for row in rows:
+    for row, _ in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n", 0
+    b_rows = ((row[0], b.value, b.gap, b.status) for row, b in rows)
+    return "\n".join(lines) + "\n", _cap_exit(_capped_b(b_rows))
 
 
 def _cmd_demo(args) -> tuple[str, int]:

@@ -8,15 +8,15 @@ inequalities built from a list of constraint states:
 
 The weights form runs cutting planes: its inequalities are relaxed to cuts
 v' (.) v >= v' rho_x' v, entered one eigenbasis at a time from one batched
-product of quadratic forms, and seeded with the eigenbases of every state
-and every pairwise difference.  Each iteration solves the cut relaxation
-exactly through its LP dual (a certified lower bound), scales the
-relaxation point by 2^D_max, the closed-form least factor that makes it
-dominate every state (a certified upper bound), and cuts along every
-violated eigenspace.  The dominating form is the dual of the
-optimal guessing game and needs no LP: a measurement from the minimum-error
-fixed point gives the lower bound, and an operator built from it gives the
-upper bound.  Both stop when the relative gap between the bounds closes.
+product of quadratic forms, and seeded with the eigenbasis of every state.
+Each iteration solves the cut relaxation exactly through its LP dual (a
+certified lower bound), scales the relaxation point by 2^D_max, the
+closed-form least factor that makes it dominate every state (a certified
+upper bound), and cuts along every violated eigenspace.  The dominating form
+is the dual of the optimal guessing game and needs no LP: a measurement from
+the minimum-error fixed point gives the lower bound, and an operator built
+from it gives the upper bound.  Both stop when the relative gap between the
+bounds closes.
 """
 
 from __future__ import annotations
@@ -142,29 +142,23 @@ class _CutPool:
         self._seen: set[tuple[int, bytes]] = set()
         self._warm: list[int] | None = None
 
-    def add(self, basis: np.ndarray, owners: tuple[int, ...]) -> int:
-        """Cut v'(.)v >= v' rho_x v for every column v and every listed x.
+    def add(self, basis: np.ndarray, idx: int) -> int:
+        """Cut v'(.)v >= v' rho_idx v for every column v of the basis.
 
-        Columns go in order, each cut for the listed states in turn;
-        duplicates are skipped.  Returns the number of cuts added.
+        Columns go in order; duplicates are skipped.  Returns the number of
+        cuts added.
         """
-        # forms[k, x] = v_k' rho_x v_k for every column and every state,
-        # shaped as row-vector products so that each form rounds exactly
-        # like np.conj(v) @ rho @ v and the LP sees the same cuts.
-        left = basis.conj().T[:, None, None, :] @ self.stack
-        forms = (left @ basis.T[:, None, :, None])[:, :, 0, 0].real
+        # forms[k, x] = v_k' rho_x v_k for every column and every state.
+        forms = np.einsum("xkj,jk->kx", basis.conj().T @ self.stack, basis).real
         added = 0
-        for k in range(basis.shape[1]):
-            row = forms[k]
-            rounded = np.round(row, 9).tobytes()
-            for idx in owners:
-                key = (idx, rounded)
-                if key in self._seen:
-                    continue
-                self._seen.add(key)
-                self.rows.append(row)
-                self.rhs.append(float(forms[k, idx]))
-                added += 1
+        for row in forms:
+            key = (idx, np.round(row, 9).tobytes())
+            if key in self._seen:
+                continue
+            self._seen.add(key)
+            self.rows.append(row)
+            self.rhs.append(float(row[idx]))
+            added += 1
         return added
 
     def __len__(self) -> int:
@@ -193,17 +187,10 @@ class _CutPool:
 
 
 def _seeded_pool(program: LmiProgram) -> _CutPool:
-    """A pool holding the eigenbasis cuts of every state and every difference."""
+    """A pool holding the eigenbasis cuts of every state."""
     pool = _CutPool(program)
     for idx, state in enumerate(program.states):
-        pool.add(eig_hermitian(state).eigenvectors, (idx,))
-    # Eigenbases of pairwise differences carry the directions where one
-    # state dominates another; on two-state programs they make the first
-    # relaxation exact, and they sharply cut the iteration count otherwise.
-    for i in range(program.count):
-        for j in range(i + 1, program.count):
-            delta = program.states[i].mat - program.states[j].mat
-            pool.add(eig_hermitian(HermitianOperator(delta)).eigenvectors, (i, j))
+        pool.add(eig_hermitian(state).eigenvectors, idx)
     return pool
 
 
@@ -350,7 +337,7 @@ def solve(program: LmiProgram, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
         if not violated or len(pool) + sum(v.shape[1] for _, v in violated) > _MAX_CUTS:
             status = STATUS_ITERATION_CAP
             break
-        added = sum(pool.add(vecs, (idx,)) for idx, vecs in violated)
+        added = sum(pool.add(vecs, idx) for idx, vecs in violated)
         if added == 0:
             # Every violated direction is already cut; the relaxation
             # cannot move, so further iterations change nothing.

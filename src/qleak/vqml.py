@@ -196,6 +196,8 @@ class TradeoffRow:
     leakage_B: float
     leakage_R: float
     leakage_bound: float
+    leakage_B_gap: float
+    leakage_B_status: str
 
 
 def tradeoff_curve(
@@ -252,6 +254,8 @@ def tradeoff_curve(
                 leakage_B=b_cert.value,
                 leakage_R=r_cert.value,
                 leakage_bound=bound_bits,
+                leakage_B_gap=b_cert.gap,
+                leakage_B_status=b_cert.status,
             )
         )
     return rows

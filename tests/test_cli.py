@@ -22,6 +22,7 @@ from qleak.cli import (
 from qleak.errors import ChainViolationError, LpSolverError, ValidationError
 from qleak.leakage import Ensemble
 from qleak.linalg import DensityOperator
+from qleak.vqml import encode_ensemble
 
 
 def _pair_doc():
@@ -79,6 +80,9 @@ def test_parse_model_defaults_inputs_for_basis_encoder():
     assert np.allclose(prior, [0.25] * 4)
     with pytest.raises(ValidationError, match="inputs"):
         parse_model({"qubits": 1, "encoder": "angle"})
+    # A whole number written as a float still counts as an integer.
+    model, inputs, _ = parse_model({"qubits": 2.0, "encoder": "basis", "inputs": [1, 3.0]})
+    assert model.qubits == 2 and inputs == [1, 3]
 
 
 def test_leakage_command_table(tmp_path, capsys):
@@ -124,6 +128,24 @@ def test_tradeoff_csv_contains_known_curve_point(tmp_path):
     assert lines[1].startswith("0.500000,")
     assert lines[1].endswith(",2.321928")
     assert lines[2].endswith(",0.000000")
+
+
+@pytest.mark.parametrize("d", [8, 32])
+def test_tradeoff_basis_model_matches_closed_forms(d, capsys):
+    p = 0.3
+    assert main(["tradeoff", "--d", str(d), "--p-grid", str(p)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == TRADEOFF_HEADER and len(lines) == 2
+    want = (
+        p,
+        2.0 * p * (d - 1) / d,
+        2.0 * p,
+        math.log2(d * (1.0 - p) + p),
+        math.log2(1.0 + (1.0 - p) * d / p),
+        math.log2(1.0 + 2.0 * (1.0 - p) * d / p),
+    )
+    got = [float(tok) for tok in lines[1].split(",")]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
 
 
 def test_sweep_csv_formats_infinity(tmp_path):
@@ -223,11 +245,18 @@ def _dp_doc(params=None, dp=None):
         ("tradeoff", {"qubits": 1, "encoder": "angle", "inputs": ["x", "y"]}, "inputs[0]"),
         ("tradeoff", {"qubits": 1, "encoder": "basis", "inputs": ["a"]}, "inputs[0]"),
         ("tradeoff", {"qubits": 1, "encoder": "basis", "inputs": []}, "inputs"),
+        ("dp-check", {**_dp_doc(), "channel": {"kind": "kraus", "params": {"kraus": 5}}},
+         "params.kraus"),
+        ("tradeoff", {"qubits": 1.9, "encoder": "basis"}, "qubits"),
+        ("leakage", {**_pair_doc(), "dimension": 2.9}, "dimension"),
+        ("tradeoff", {"qubits": 1, "encoder": "basis", "inputs": [1.7]}, "inputs[0]"),
     ],
     ids=["states-not-list", "dimension-not-int", "p-not-number", "epsilon-not-number",
          "pair-of-one", "channel-dimension-mismatch", "spec-not-object",
          "neighbouring-not-object", "qubits-not-int", "classes-not-int",
-         "angle-input-not-number", "basis-input-not-int", "inputs-empty"],
+         "angle-input-not-number", "basis-input-not-int", "inputs-empty",
+         "kraus-not-list", "qubits-fractional", "dimension-fractional",
+         "basis-input-fractional"],
 )
 def test_malformed_spec_exits_two(tmp_path, command, doc, named):
     path = tmp_path / "spec.json"
@@ -307,3 +336,34 @@ def test_leakage_iteration_cap_exits_three(tmp_path, monkeypatch, capsys):
     assert line.startswith("iteration cap: sandwiched-inf MI ")
     assert "; maximal Q " in line and "barycentric B" not in line
     assert re.search(r"maximal Q \d+\.\d{6} bits, gap \d\.\de[-+]\d\d", line)
+
+
+def _angle_spec():
+    # 8 angle-encoded inputs on 5 qubits: the weights program's seeded pool
+    # holds 8 * 32 = 256 cuts and needs 4 iterations to reach optimal.
+    inputs = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, size=(8, 5))
+    return {"qubits": 5, "encoder": "angle", "inputs": inputs.tolist()}
+
+
+@pytest.mark.parametrize("command", ["tradeoff", "sweep"])
+def test_grid_iteration_cap_exits_three(tmp_path, monkeypatch, capsys, command):
+    from qleak import sdp
+
+    spec = _angle_spec()
+    if command == "sweep":
+        model, inputs, prior = parse_model(spec)
+        spec = ensemble_to_json(encode_ensemble(model, inputs, prior))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    argv = [command, "--input", str(path), "--p-grid", "0.1"]
+    assert main(argv) == 0
+    solved = capsys.readouterr()
+    assert solved.err == ""
+    monkeypatch.setattr(sdp, "_MAX_CUTS", 256)
+    assert main(argv) == 3
+    capped = capsys.readouterr()
+    assert capped.out.splitlines()[0] == solved.out.splitlines()[0]
+    (line,) = capped.err.splitlines()
+    assert re.fullmatch(
+        r"iteration cap: barycentric B at p=0\.100000 \d+\.\d{6} bits, gap \d\.\de[-+]\d\d", line
+    )

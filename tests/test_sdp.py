@@ -7,7 +7,6 @@ from helpers import diagonal_weights_value, random_ensemble
 from qleak import sdp
 from qleak.linalg import (
     DensityOperator,
-    HermitianOperator,
     eig_hermitian,
     random_density,
     random_unitary,
@@ -143,34 +142,54 @@ def test_dominating_value_dominates_every_state_trace():
 @pytest.mark.parametrize("make_program", [weights_program])
 def test_seeded_cut_pool_matches_per_vector_quadratic_forms(make_program):
     states = tuple(random_density(4, 4, seed) for seed in (21, 22, 23))
-    program = make_program(states)
-    pool = _seeded_pool(program)
-    # Same bases and order as the seeding: each state's eigenbasis, then
-    # each difference eigenbasis cut for state i before state j.
-    bases = [(eig_hermitian(s).eigenvectors, (x,)) for x, s in enumerate(states)]
-    bases += [
-        (eig_hermitian(HermitianOperator(states[i].mat - states[j].mat)).eigenvectors, (i, j))
-        for i in range(3)
-        for j in range(i + 1, 3)
-    ]
+    pool = _seeded_pool(make_program(states))
+    # Same bases and order as the seeding: each state's own eigenbasis.
+    bases = [eig_hermitian(s).eigenvectors for s in states]
     rows, rhs, keys = [], [], set()
-    for basis, owners in bases:
+    for x, basis in enumerate(bases):
         for k in range(4):
             v = basis[:, k]
-            forms = [float(np.real(np.conj(v) @ s.mat @ v)) for s in states]
-            row = np.array(forms)
-            for x in owners:
-                key = (x, np.round(row, 9).tobytes())
-                if key not in keys:
-                    keys.add(key)
-                    rows.append(row)
-                    rhs.append(forms[x])
-    assert len(pool) == len(keys)
+            row = np.array([float(np.real(np.conj(v) @ s.mat @ v)) for s in states])
+            key = (x, np.round(row, 9).tobytes())
+            if key not in keys:
+                keys.add(key)
+                rows.append(row)
+                rhs.append(row[x])
+    assert len(pool) == len(keys) == 12
     np.testing.assert_allclose(np.stack(pool.rows), np.stack(rows), rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(pool.rhs, rhs, rtol=0.0, atol=1e-12)
     # Cutting along a basis a second time adds nothing.
-    assert pool.add(bases[-1][0], bases[-1][1]) == 0
+    assert pool.add(bases[-1], 2) == 0
     assert len(pool) == len(keys)
+
+
+def test_seeded_pool_decomposes_each_state_once(monkeypatch):
+    calls = []
+
+    def counting(op):
+        calls.append(op)
+        return eig_hermitian(op)
+
+    monkeypatch.setattr(sdp, "eig_hermitian", counting)
+    states = random_ensemble(3, 5, seed=4).states
+    _seeded_pool(weights_program(states))
+    assert len(calls) == len(states)
+    assert all(op is state for op, state in zip(calls, states))
+
+
+# When pairwise-difference eigenbases were seeded too, the pool held about
+# n^2 d cuts, past the cut cap, so these stopped as iteration_cap after one
+# LP with gaps of 0.64-0.89 bits; (32, 8, 7000) reported log2 n = 3 bits
+# against its optimum 2.505306.
+@pytest.mark.parametrize("dim, count, seed", [(32, 8, 7000), (64, 6, 1), (16, 12, 2), (8, 16, 3)])
+def test_weights_form_certifies_past_the_seeding_cap(dim, count, seed):
+    program = weights_program(random_ensemble(dim, count, seed=seed).states)
+    sol = solve(program)
+    assert sol.status == STATUS_SOLVED
+    assert sol.relative_gap <= 1e-6 + 1e-12
+    assert sol.lower_bound <= sol.value
+    _, worst, _ = violation_certificate(program, sol.primal)
+    assert worst >= -5 * FEAS_TOL
 
 
 # Ensembles on which the earlier cutting-plane form of Q failed or crawled:
