@@ -285,11 +285,15 @@ def _cap_exit(capped: list[str]) -> int:
     return 3 if capped else 0
 
 
+def _cap_note(label: str, bits: float, gap: float, iterations: int) -> str:
+    return f"{label} {_fmt(bits)} bits, gap {gap:.1e}, {iterations} iterations"
+
+
 def _capped_b(b_rows) -> list[str]:
-    """Cap notes for the (p, bits, gap, status) rows of a barycentric B grid."""
+    """Cap notes for the (p, bits, gap, status, iterations) rows of a barycentric B grid."""
     return [
-        f"barycentric B at p={_fmt(p)} {_fmt(bits)} bits, gap {gap:.1e}"
-        for p, bits, gap, status in b_rows
+        _cap_note(f"barycentric B at p={_fmt(p)}", bits, gap, iterations)
+        for p, bits, gap, status, iterations in b_rows
         if status != STATUS_SOLVED
     ]
 
@@ -326,7 +330,7 @@ def _leakage_table(e: Ensemble, gap_tol: float, restarts: int, seed: int) -> tup
         "pairwise R": report.pairwise,
     }
     capped = [
-        f"{label} {_fmt(cert.value)} bits, gap {cert.gap:.1e}"
+        _cap_note(label, cert.value, cert.gap, cert.iterations)
         for label, cert in rows.items()
         if cert.status != STATUS_SOLVED
     ]
@@ -409,7 +413,10 @@ def _cmd_tradeoff(args) -> tuple[str, int]:
                 )
             )
         )
-    b_rows = ((r.p, r.leakage_B, r.leakage_B_gap, r.leakage_B_status) for r in rows)
+    b_rows = (
+        (r.p, r.leakage_B, r.leakage_B_gap, r.leakage_B_status, r.leakage_B_iterations)
+        for r in rows
+    )
     return "\n".join(lines) + "\n", _cap_exit(_capped_b(b_rows))
 
 
@@ -431,7 +438,7 @@ def _cmd_sweep(args) -> tuple[str, int]:
     lines = [SWEEP_HEADER]
     for row, _ in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    b_rows = ((row[0], b.value, b.gap, b.status) for row, b in rows)
+    b_rows = ((row[0], b.value, b.gap, b.status, b.iterations) for row, b in rows)
     return "\n".join(lines) + "\n", _cap_exit(_capped_b(b_rows))
 
 

@@ -135,7 +135,9 @@ class LeakageCertificate:
 
     The witness depends on the kind: barycenter weights for the weights
     program, a dominating operator for the guessing-game value, and the
-    arg-max pair of symbols for the pairwise measure.
+    arg-max pair of symbols for the pairwise measure.  `iterations` and
+    `cut_count` are the solver's counts; the pairwise measure runs no
+    solver and reports 0 for both.
     """
 
     value: float
@@ -143,6 +145,8 @@ class LeakageCertificate:
     witness: object
     gap: float
     status: str
+    iterations: int = 0
+    cut_count: int = 0
 
     def __post_init__(self):
         if not self.value >= -1e-9:
@@ -173,9 +177,12 @@ def pairwise_leakage(e: Ensemble) -> LeakageCertificate:
     return LeakageCertificate(max(best, 0.0), KIND_PAIRWISE, witness, 0.0, "optimal")
 
 
-def _gap_bits(sol: SdpSolution) -> float:
+def _solver_certificate(sol: SdpSolution, kind: str, witness) -> LeakageCertificate:
+    """log2 of a solve's value, with its bracket as a gap in bits and its counts."""
     lower = max(float(sol.lower_bound), 1e-300)
-    return max(0.0, math.log2(float(sol.upper_bound)) - math.log2(lower))
+    gap = max(0.0, math.log2(float(sol.upper_bound)) - math.log2(lower))
+    value = max(math.log2(max(float(sol.value), 1e-300)), 0.0)
+    return LeakageCertificate(value, kind, witness, gap, sol.status, sol.iterations, sol.cut_count)
 
 
 def barycentric_leakage(e: Ensemble, gap_tol: float = DEFAULT_GAP_TOL) -> LeakageCertificate:
@@ -188,16 +195,12 @@ def barycentric_leakage(e: Ensemble, gap_tol: float = DEFAULT_GAP_TOL) -> Leakag
     weights = np.clip(np.asarray(sol.primal, dtype=np.float64), 0.0, None)
     total = float(np.sum(weights))
     witness = weights / total if total > 0.0 else weights
-    value = math.log2(max(float(sol.value), 1e-300))
-    return LeakageCertificate(
-        max(value, 0.0), KIND_BARYCENTRIC, witness, _gap_bits(sol), sol.status
-    )
+    return _solver_certificate(sol, KIND_BARYCENTRIC, witness)
 
 
 def _dominating_certificate(e: Ensemble, gap_tol: float, kind: str) -> LeakageCertificate:
     sol = solve(dominating_program(list(e.states)), gap_tol=gap_tol)
-    value = math.log2(max(float(sol.value), 1e-300))
-    return LeakageCertificate(max(value, 0.0), kind, sol.primal, _gap_bits(sol), sol.status)
+    return _solver_certificate(sol, kind, sol.primal)
 
 
 def max_leakage(e: Ensemble, gap_tol: float = DEFAULT_GAP_TOL) -> LeakageCertificate:

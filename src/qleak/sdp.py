@@ -14,15 +14,18 @@ certified lower bound), scales the relaxation point by 2^D_max, the
 closed-form least factor that makes it dominate every state (a certified
 upper bound), and cuts along every violated eigenspace.  The dominating form
 is the dual of the optimal guessing game and needs no LP: a measurement from
-the minimum-error fixed point gives the lower bound, and an operator built
-from it gives the upper bound.  Both stop when the relative gap between the
-bounds closes.
+the minimum-error fixed point, sped up by an extrapolation step that is kept
+only when it pays more than the plain step, gives the lower bound, and an
+operator built from it gives the upper bound.  Both stop when the relative
+gap between the bounds closes.  Both scan their LMIs through one certified
+stacked eigendecomposition, `_lmi_spectra`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,9 +34,9 @@ from .errors import LpSolverError, ValidationError
 from .linalg import (
     DensityOperator,
     HermitianOperator,
-    Spectrum,
     _spectrum_power,
     eig_hermitian,
+    eigh_stack,
 )
 from .simplex import STATUS_OPTIMAL, resume_phase2
 
@@ -45,7 +48,8 @@ STATUS_ITERATION_CAP = "iteration_cap"
 
 DEFAULT_GAP_TOL = 1e-6
 FEAS_TOL = 1e-9
-# Pool size past which the weights form stops as iteration_cap.
+# Cuts beyond the seeded eigenbasis pool past which the weights form stops
+# as iteration_cap.
 _MAX_CUTS = 2000
 
 
@@ -73,6 +77,11 @@ class LmiProgram:
     @property
     def count(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def mats(self) -> np.ndarray:
+        """The constraint states as one (n, d, d) stack."""
+        return np.stack([s.mat for s in self.states])
 
 
 def weights_program(states) -> LmiProgram:
@@ -107,19 +116,21 @@ def _point_matrix(program: LmiProgram, point) -> np.ndarray:
         c = np.asarray(point, dtype=np.float64).reshape(-1)
         if c.size != program.count:
             raise ValidationError(f"expected {program.count} weights, got {c.size}")
-        mats = np.stack([s.mat for s in program.states])
-        return np.einsum("x,xij->ij", c, mats)
+        return np.einsum("x,xij->ij", c, program.mats)
     return HermitianOperator(getattr(point, "mat", point)).mat
 
 
-def _lmi_spectra(program: LmiProgram, a: np.ndarray) -> list[Spectrum]:
-    """Spectrum of a - rho_x for every constraint state, in state order."""
-    return [eig_hermitian(HermitianOperator(a - s.mat)) for s in program.states]
+def _lmi_spectra(program: LmiProgram, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (n, d) and eigenvectors (n, d, d) of a - rho_x, in state order.
+
+    One certified stacked decomposition scans every LMI at once.
+    """
+    return eigh_stack(a - program.mats)
 
 
-def _worst_eigenvalue(spectra: list[Spectrum]) -> float:
-    """Most negative LMI eigenvalue, or 0 when every LMI holds."""
-    return min(0.0, *(spec.min for spec in spectra))
+def _worst_eigenvalue(program: LmiProgram, a: np.ndarray) -> float:
+    """Most negative LMI eigenvalue at a, or 0 when every LMI holds."""
+    return min(0.0, float(_lmi_spectra(program, a)[0][:, 0].min()))
 
 
 def violation_certificate(program: LmiProgram, point):
@@ -127,16 +138,16 @@ def violation_certificate(program: LmiProgram, point):
 
     A min eigenvalue at or above -FEAS_TOL certifies feasibility.
     """
-    spectra = _lmi_spectra(program, _point_matrix(program, point))
-    idx = min(range(len(spectra)), key=lambda i: spectra[i].min)
-    return idx, spectra[idx].min, spectra[idx].eigenvectors[:, 0].copy()
+    w, v = _lmi_spectra(program, _point_matrix(program, point))
+    idx = int(np.argmin(w[:, 0]))
+    return idx, float(w[idx, 0]), v[idx][:, 0].copy()
 
 
 class _CutPool:
     """Accumulated cuts with cached LP data for one weights program."""
 
     def __init__(self, program: LmiProgram):
-        self.stack = np.stack([s.mat for s in program.states])
+        self.stack = program.mats
         self.rows: list[np.ndarray] = []
         self.rhs: list[float] = []
         self._seen: set[tuple[int, bytes]] = set()
@@ -206,7 +217,7 @@ def _certify_point(program: LmiProgram, point, obj: float):
     let the reported value undercut the true optimum; the lift closes that
     hole at a cost of at most count * (FEAS_TOL + pad) / mu in objective.
     """
-    worst = _worst_eigenvalue(_lmi_spectra(program, _point_matrix(program, point)))
+    worst = _worst_eigenvalue(program, _point_matrix(program, point))
     if worst >= 0.0:
         return obj, point
     lift = -worst + _LIFT_PAD
@@ -225,38 +236,54 @@ def _certify_point(program: LmiProgram, point, obj: float):
 _FIXED_POINT_CAP = 20_000
 
 
+def _payoffs(rhos: np.ndarray, families: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Guessing payoff of each PSD family (c, n, d, d), and the size it is divided by.
+
+    A family M over its size max(1, lambda_max of sum_x M_x) is a
+    sub-measurement, so sum_x tr(rho_x M_x) / size is a lower bound.
+    """
+    sizes = np.maximum(1.0, eigh_stack(families.sum(axis=1))[0][:, -1])
+    return np.einsum("xij,cxji->c", rhos, families).real / sizes, sizes
+
+
 def _solve_dominating(program: LmiProgram, gap_tol: float) -> SdpSolution:
     """Bracket min tr(Y) over Y >= rho_x between a measurement and an operator.
 
     The minimum-error fixed point (Jezek, Rehacek, Fiurasek, PRA 65, 060301,
-    2002) moves M_x <- G^-1/2 rho_x M_x rho_x G^-1/2, G = sum_x rho_x M_x rho_x,
-    from M_x = I/n.  Its payoff sum_x tr(rho_x M_x) over max(1, lambda_max of
-    sum_x M_x) is the payoff of a sub-measurement, hence a lower bound.  The
-    upper bound follows the Yuen-Kennedy-Lax conditions (IEEE TIT 21, 125,
-    1975): Y starts at the Hermitian part of sum_x rho_x M_x, takes in each
-    state's excess (rho_x - Y)+ in turn, which is exact at once on commuting
-    states, and a last shift by the worst LMI eigenvalue plus a pad makes it
-    feasible outright.  Each pass is one iteration of the returned solution.
+    2002) maps M_x to T(M)_x = G^-1/2 rho_x M_x rho_x G^-1/2, G = sum_x rho_x
+    M_x rho_x, from M_x = I/n.  Its tail is sublinear, so each pass also
+    extrapolates E = T(M) + beta_k (T(M) - T(M_prev)), beta_k = (k-1)/(k+2),
+    projects E onto the PSD cone, and continues from whichever of T(M) and
+    PSD(E) pays more; k restarts at 1 when T(M) pays more or the payoff
+    drops (adaptive restart, O'Donoghue and Candes, Found. Comput. Math. 15,
+    715, 2015), and at k = 1 the step is T(M) itself.  The payoff of every
+    iterate over its size (see `_payoffs`) is a lower bound.  The upper bound
+    follows the Yuen-Kennedy-Lax conditions (IEEE TIT 21, 125, 1975): Y
+    starts at the Hermitian part of sum_x rho_x M_x over the same size,
+    takes in each state's excess (rho_x - Y)+ in turn, which is exact at
+    once on commuting states, and a last shift by the worst LMI eigenvalue
+    plus a pad makes it feasible outright.  Each pass is one iteration of
+    the returned solution.
     """
     n, d = program.count, program.dim
-    rhos = np.stack([s.mat for s in program.states])
+    rhos = program.mats
     povm = np.stack([np.eye(d, dtype=np.complex128) / n] * n)
-    lower, upper, primal = -math.inf, math.inf, None
+    (payoff,), (size,) = _payoffs(rhos, povm[None])
+    lower, upper, primal = payoff, math.inf, None
+    prev, k = povm, 1
     trace: list[float] = []
     status = STATUS_ITERATION_CAP
     for iterations in range(1, _FIXED_POINT_CAP + 1):
-        size = max(1.0, eig_hermitian(povm.sum(axis=0)).max)
-        lower = max(lower, float(np.einsum("xij,xji->", rhos, povm).real) / size)
         trace.append(lower)
 
-        y = (rhos @ povm).sum(axis=0)
+        y = (rhos @ povm).sum(axis=0) / size
         y = (y + y.conj().T) / 2.0
         for rho in rhos:
             spec = eig_hermitian(y - rho)
             v = spec.eigenvectors
             y = y + (v * np.clip(-spec.eigenvalues, 0.0, None)) @ v.conj().T
         y = HermitianOperator(y).mat
-        worst = _worst_eigenvalue(_lmi_spectra(program, y))
+        worst = _worst_eigenvalue(program, y)
         if worst < 0.0:
             y = y + (-worst + _LIFT_PAD) * np.eye(d)
         if np.trace(y).real < upper:
@@ -266,8 +293,18 @@ def _solve_dominating(program: LmiProgram, gap_tol: float) -> SdpSolution:
             status = STATUS_SOLVED
             break
         root = _spectrum_power(eig_hermitian((rhos @ povm @ rhos).sum(axis=0)), -0.5).mat
-        povm = root @ rhos @ povm @ rhos @ root
-        povm = (povm + povm.conj().transpose(0, 2, 1)) / 2.0
+        plain = root @ rhos @ povm @ rhos @ root
+        plain = (plain + plain.conj().transpose(0, 2, 1)) / 2.0
+        # E with its negative eigenvalues removed; beta_1 = 0 makes it T(M).
+        e = plain + (k - 1) / (k + 2) * (plain - prev)
+        w, v = eigh_stack(e)
+        e = e - (v * np.minimum(w, 0.0)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        pays, sizes = _payoffs(rhos, np.stack([plain, e]))
+        best = int(pays[1] >= pays[0])
+        restart = (best == 0 and k > 1) or pays[best] < payoff
+        k = 1 if restart else k + 1
+        povm, payoff, size, prev = (plain, e)[best], float(pays[best]), float(sizes[best]), plain
+        lower = max(lower, payoff)
 
     return SdpSolution(
         value=upper,
@@ -299,6 +336,7 @@ def solve(program: LmiProgram, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     if program.form == FORM_DOMINATING:
         return _solve_dominating(program, gap_tol)
     pool = _seeded_pool(program)
+    seeded = len(pool)
     # Unit weights are feasible: the sum of the states dominates each one.
     best_obj, best_point = float(program.count), np.ones(program.count)
     lower = -math.inf
@@ -312,13 +350,12 @@ def solve(program: LmiProgram, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
         a = _point_matrix(program, z)
         obj = float(np.sum(z))
 
-        spectra = _lmi_spectra(program, a)
+        w, v = _lmi_spectra(program, a)
         # Cut along the whole violated eigenspace, not just the most
         # negative direction; single cuts crawl on rank-deficient states.
         violated = [
-            (idx, spec.eigenvectors[:, spec.eigenvalues < -FEAS_TOL])
-            for idx, spec in enumerate(spectra)
-            if spec.min < -FEAS_TOL
+            (idx, v[idx][:, w[idx] < -FEAS_TOL])
+            for idx in np.flatnonzero(w[:, 0] < -FEAS_TOL).tolist()
         ]
 
         if 0.0 < obj < best_obj:
@@ -334,7 +371,8 @@ def solve(program: LmiProgram, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
         if gap <= gap_tol:
             status = STATUS_SOLVED
             break
-        if not violated or len(pool) + sum(v.shape[1] for _, v in violated) > _MAX_CUTS:
+        grown = len(pool) - seeded + sum(v.shape[1] for _, v in violated)
+        if not violated or grown > _MAX_CUTS:
             status = STATUS_ITERATION_CAP
             break
         added = sum(pool.add(vecs, idx) for idx, vecs in violated)

@@ -198,6 +198,7 @@ class TradeoffRow:
     leakage_bound: float
     leakage_B_gap: float
     leakage_B_status: str
+    leakage_B_iterations: int
 
 
 def tradeoff_curve(
@@ -256,6 +257,7 @@ def tradeoff_curve(
                 leakage_bound=bound_bits,
                 leakage_B_gap=b_cert.gap,
                 leakage_B_status=b_cert.status,
+                leakage_B_iterations=b_cert.iterations,
             )
         )
     return rows

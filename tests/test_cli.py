@@ -335,7 +335,7 @@ def test_leakage_iteration_cap_exits_three(tmp_path, monkeypatch, capsys):
     (line,) = captured.err.splitlines()
     assert line.startswith("iteration cap: sandwiched-inf MI ")
     assert "; maximal Q " in line and "barycentric B" not in line
-    assert re.search(r"maximal Q \d+\.\d{6} bits, gap \d\.\de[-+]\d\d", line)
+    assert re.search(r"maximal Q \d+\.\d{6} bits, gap \d\.\de[-+]\d\d, 1 iterations(;|$)", line)
 
 
 def _angle_spec():
@@ -359,11 +359,13 @@ def test_grid_iteration_cap_exits_three(tmp_path, monkeypatch, capsys, command):
     assert main(argv) == 0
     solved = capsys.readouterr()
     assert solved.err == ""
-    monkeypatch.setattr(sdp, "_MAX_CUTS", 256)
+    monkeypatch.setattr(sdp, "_MAX_CUTS", 0)
     assert main(argv) == 3
     capped = capsys.readouterr()
     assert capped.out.splitlines()[0] == solved.out.splitlines()[0]
     (line,) = capped.err.splitlines()
     assert re.fullmatch(
-        r"iteration cap: barycentric B at p=0\.100000 \d+\.\d{6} bits, gap \d\.\de[-+]\d\d", line
+        r"iteration cap: barycentric B at p=0\.100000 \d+\.\d{6} bits, gap \d\.\de[-+]\d\d, "
+        r"1 iterations",
+        line,
     )

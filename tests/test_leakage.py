@@ -285,6 +285,19 @@ def test_sandwiched_mutual_information_equals_max_leakage_value():
     assert a.kind != b.kind
 
 
+def test_certificates_carry_their_solver_counts():
+    from qleak.sdp import dominating_program, solve, weights_program
+
+    e = random_ensemble(3, 4, seed=12)
+    q, b, r = max_leakage(e), barycentric_leakage(e), pairwise_leakage(e)
+    q_sol = solve(dominating_program(e.states))
+    b_sol = solve(weights_program(e.states))
+    assert (q.iterations, q.cut_count) == (q_sol.iterations, 0)
+    assert (b.iterations, b.cut_count) == (b_sol.iterations, b_sol.cut_count)
+    assert b.iterations >= 1 and b.cut_count >= e.count
+    assert (r.iterations, r.cut_count) == (0, 0)
+
+
 def test_grid_payoff_oracle_respects_certified_value():
     from helpers import bloch_grid_payoff
 

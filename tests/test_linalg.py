@@ -13,6 +13,7 @@ from qleak.linalg import (
     DensityOperator,
     HermitianOperator,
     eig_hermitian,
+    eigh_stack,
     kron,
     operator_power,
     partial_trace,
@@ -76,6 +77,26 @@ def test_eigensolver_output_failing_reconstruction_is_rejected(monkeypatch):
     )
     with pytest.raises(EigenSolverError, match="residual"):
         eig_hermitian(h)
+
+
+def test_stacked_eigendecomposition_matches_single_calls():
+    stack = np.stack([_random_hermitian(5, seed) for seed in range(4)])
+    w, v = eigh_stack(stack)
+    assert w.shape == (4, 5) and v.shape == (4, 5, 5)
+    for a, wi, vi in zip(stack, w, v):
+        spec = eig_hermitian(a)
+        np.testing.assert_array_equal(spec.eigenvalues, wi)
+        np.testing.assert_array_equal(spec.eigenvectors, vi)
+
+
+def test_large_norm_stack_is_held_to_the_relative_residual():
+    # The absolute residual of a norm-1e8 matrix is far above SUPPORT_RTOL,
+    # so only the per-matrix relative check can accept it.
+    stack = np.stack([_random_hermitian(6, 1) * 1e8, _random_hermitian(6, 2)])
+    w, v = eigh_stack(stack)
+    recon = (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    assert np.linalg.norm(recon[0] - stack[0]) > 1e-9
+    np.testing.assert_allclose(recon, stack, rtol=0.0, atol=1e-6)
 
 
 def test_lapack_failure_is_an_eigensolver_error(monkeypatch):

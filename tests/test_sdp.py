@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from helpers import diagonal_weights_value, random_ensemble
-from qleak import sdp
+from helpers import diagonal_weights_value, fixed_point_payoff, random_ensemble
+from qleak import linalg, sdp
+from qleak.errors import EigenSolverError
 from qleak.linalg import (
     DensityOperator,
     eig_hermitian,
+    eigh_stack,
     random_density,
     random_unitary,
     trace_distance,
@@ -231,10 +233,54 @@ def test_weights_cut_cap_keeps_an_honest_bracket(monkeypatch):
     # criterion-2 ensemble i = 1 needs cuts past its seeded pool
     program = weights_program(random_ensemble(3, 3, seed=1001).states)
     seeded = len(_seeded_pool(program))
-    monkeypatch.setattr(sdp, "_MAX_CUTS", seeded)
+    monkeypatch.setattr(sdp, "_MAX_CUTS", 0)
     sol = solve(program)
     assert sol.status == STATUS_ITERATION_CAP
     assert sol.iterations == 1 and sol.cut_count == seeded
     assert sol.lower_bound <= sol.value
     _, worst, _ = violation_certificate(program, sol.primal)
     assert worst >= -5 * FEAS_TOL
+
+
+def test_weights_cut_cap_counts_only_cuts_beyond_the_seeded_pool(monkeypatch):
+    # criterion-2 ensemble i = 2 seeds 16 cuts and adds 12 more; when the cap
+    # counted the seeded pool too, a cap below 16 stopped it after one LP.
+    program = weights_program(random_ensemble(4, 4, seed=1002).states)
+    monkeypatch.setattr(sdp, "_MAX_CUTS", len(_seeded_pool(program)) - 1)
+    sol = solve(program)
+    assert sol.status == STATUS_SOLVED
+    assert sol.relative_gap <= 1e-6 + 1e-12
+
+
+# Slow tails of the plain minimum-error fixed point: (2, 6, 8) took 12,528
+# passes, and criterion-2 ensembles i = 17 and i = 19 took 993 and 702.
+@pytest.mark.parametrize(
+    "dim, count, seed, plain_passes", [(2, 6, 8, 12_528), (4, 3, 1017, 993), (3, 5, 1019, 702)]
+)
+def test_dominating_extrapolation_beats_the_plain_tail(dim, count, seed, plain_passes):
+    e = random_ensemble(dim, count, seed=seed)
+    sol = solve(dominating_program(e.states))
+    assert sol.status == STATUS_SOLVED
+    assert sol.iterations <= plain_passes
+    assert fixed_point_payoff(e) <= sol.value
+    assert sol.lower_bound <= sol.value
+    trace = sol.lower_bound_trace
+    assert all(a <= b for a, b in zip(trace, trace[1:]))
+
+
+def test_stacked_eigensolver_certifies_every_matrix(monkeypatch):
+    real_eigh = np.linalg.eigh
+
+    def corrupt_stacks(a):
+        w, v = real_eigh(a)
+        if np.ndim(a) == 3:
+            v = v.copy()
+            v[-1] = v[-1][:, ::-1]
+        return w, v
+
+    monkeypatch.setattr(linalg.np.linalg, "eigh", corrupt_stacks)
+    e = random_ensemble(3, 3, seed=5)
+    with pytest.raises(EigenSolverError):
+        eigh_stack(np.stack([s.mat for s in e.states]))
+    with pytest.raises(EigenSolverError):
+        solve(dominating_program(e.states))
