@@ -4,9 +4,11 @@ A channel's general form is a Kraus set.  The depolarizing factories apply
 the affine map (1-p) rho + p tr(rho) I/d directly, globally on one
 d-dimensional system or with d = 2 on every qubit of a register; their d^2
 Weyl-twirl Kraus operators are built only when something reads `kraus`.
-The differential-privacy helpers evaluate the max-divergence consequence of
-(epsilon, 0)-DP between neighbouring ensemble members: a necessary
-condition, never a certificate.
+A channel does not remember which factory made it: `depolarized_leakage`
+is the one place that ties global noise of strength p to its leakage cap
+log2(1 + 2(1-p)d/p).  The differential-privacy helpers evaluate the
+max-divergence consequence of (epsilon, 0)-DP between neighbouring
+ensemble members: a necessary condition, never a certificate.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergences import ORDER_INF, sandwiched_renyi
+from .divergences import max_relative_entropy_pairs
 from .errors import (
     ChainViolationError,
     DimensionMismatch,
@@ -35,9 +37,6 @@ from .sdp import DEFAULT_GAP_TOL
 
 _TP_ATOL = 1e-9
 LOCAL_DIM_CAP = 64
-
-FAMILY_DEPOLARIZING_GLOBAL = "depolarizing_global"
-FAMILY_DEPOLARIZING_LOCAL = "depolarizing_local"
 
 
 def _checked_kraus(kraus) -> tuple[np.ndarray, ...]:
@@ -66,29 +65,23 @@ class QuantumChannel:
     depolarizing factories make channels that carry their action on a
     matrix instead: `apply` runs that action, and the Kraus set is built,
     validated and cached on the first read of `kraus` (by `compose`,
-    `tensor` or any other caller).
-
-    family and noise carry provenance for maps built by the factories in
-    this module (the depolarizing leakage bound needs to know p); hand
-    built channels leave them unset.
+    `tensor` or any other caller).  A channel is only its action: it does
+    not record the factory or noise strength that made it.
     """
 
-    __slots__ = ("_kraus", "_build", "_action", "_shape", "family", "noise")
+    __slots__ = ("_kraus", "_build", "_action", "_shape")
 
-    def __init__(self, kraus, family: str | None = None, noise: float | None = None):
+    def __init__(self, kraus):
         self._kraus = _checked_kraus(kraus)
         self._build = self._action = None
         self._shape = self._kraus[0].shape
-        self.family = family
-        self.noise = noise
 
     @classmethod
-    def _from_action(cls, dim: int, action, build, family: str, noise: float) -> "QuantumChannel":
+    def _from_action(cls, dim: int, action, build) -> "QuantumChannel":
         """A dim-to-dim channel that applies action(mat) and builds its Kraus set from build()."""
         ch = cls.__new__(cls)
         ch._kraus = None
         ch._build, ch._action, ch._shape = build, action, (dim, dim)
-        ch.family, ch.noise = family, noise
         return ch
 
     @property
@@ -202,8 +195,6 @@ def depolarizing_global(p: float, d: int) -> QuantumChannel:
         d,
         functools.partial(_depolarize, p=p),
         functools.partial(_depolarizing_kraus, p, d),
-        FAMILY_DEPOLARIZING_GLOBAL,
-        p,
     )
 
 
@@ -222,8 +213,6 @@ def depolarizing_local(p: float, k: int) -> QuantumChannel:
         2**k,
         functools.partial(_depolarize_qubits, p=p, k=k),
         functools.partial(_qubitwise_kraus, p, k),
-        FAMILY_DEPOLARIZING_LOCAL,
-        p,
     )
 
 
@@ -363,10 +352,10 @@ def verify_dp_on_ensemble(ch: QuantumChannel, e: Ensemble, params: DpParams) -> 
         )
     threshold = params.epsilon_nats / math.log(2.0)
     outputs = [apply(ch, s) for s in e.states]
+    pairs = _neighbour_pairs(e, params.neighbouring)
     results = []
     worst = 0.0
-    for i, j in _neighbour_pairs(e, params.neighbouring):
-        div = sandwiched_renyi(outputs[i], outputs[j], ORDER_INF)
+    for (i, j), div in zip(pairs, max_relative_entropy_pairs(outputs, pairs)):
         worst = max(worst, div)
         results.append(DpPairResult(i, j, div, div <= threshold + 1e-9))
     return DpCheckReport(
@@ -386,27 +375,30 @@ def verify_dp_on_ensemble(ch: QuantumChannel, e: Ensemble, params: DpParams) -> 
 def leakage_after_channel(
     ch: QuantumChannel, e: Ensemble, gap_tol: float = DEFAULT_GAP_TOL
 ) -> tuple[LeakageCertificate, LeakageCertificate]:
-    """Barycentric and pairwise leakage of the channel-output ensemble.
-
-    For the depolarizing families with p > 0 the outputs must respect
-    log2(1 + 2(1-p)d/p); breaching it beyond the certified gap means a
-    solver defect, reported as ChainViolationError.
-    """
+    """Barycentric and pairwise leakage of the channel-output ensemble."""
     noisy = apply_ensemble(ch, e)
-    b = barycentric_leakage(noisy, gap_tol=gap_tol)
-    r = pairwise_leakage(noisy)
-    if (
-        ch.family in (FAMILY_DEPOLARIZING_GLOBAL, FAMILY_DEPOLARIZING_LOCAL)
-        and ch.noise is not None
-        and ch.noise > 0.0
-    ):
-        bound = dp_epsilon_bound_depolarizing(ch.noise, ch.out_dim) / math.log(2.0)
-        if b.value > bound + b.gap + 1e-6:
-            raise ChainViolationError(
-                f"barycentric leakage {b.value:.9f} exceeds depolarizing bound {bound:.9f}"
-            )
-        if r.value > bound + 1e-6:
-            raise ChainViolationError(
-                f"pairwise leakage {r.value:.9f} exceeds depolarizing bound {bound:.9f}"
-            )
-    return b, r
+    return barycentric_leakage(noisy, gap_tol=gap_tol), pairwise_leakage(noisy)
+
+
+def depolarized_leakage(
+    e: Ensemble, p: float, gap_tol: float = DEFAULT_GAP_TOL
+) -> tuple[LeakageCertificate, LeakageCertificate, float]:
+    """B and R after global depolarizing noise of strength p, and its DP epsilon in nats.
+
+    Both must respect the cap epsilon / ln 2 = log2(1 + 2(1-p)d/p) bits
+    (inf at p = 0); breaching it beyond B's certified gap means a solver
+    defect, reported as ChainViolationError.  Local noise has no such
+    check here: the global cap does not hold for it.
+    """
+    b, r = leakage_after_channel(depolarizing_global(p, e.dim), e, gap_tol=gap_tol)
+    eps = dp_epsilon_bound_depolarizing(p, e.dim)
+    bound = eps / math.log(2.0)
+    if b.value > bound + b.gap + 1e-6:
+        raise ChainViolationError(
+            f"barycentric leakage {b.value:.9f} exceeds depolarizing bound {bound:.9f}"
+        )
+    if r.value > bound + 1e-6:
+        raise ChainViolationError(
+            f"pairwise leakage {r.value:.9f} exceeds depolarizing bound {bound:.9f}"
+        )
+    return b, r, eps

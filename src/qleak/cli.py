@@ -23,10 +23,9 @@ from .channels import (
     ExplicitPairs,
     QuantumChannel,
     TraceDistanceNeighbours,
+    depolarized_leakage,
     depolarizing_global,
     depolarizing_local,
-    dp_epsilon_bound_depolarizing,
-    leakage_after_channel,
     verify_dp_on_ensemble,
 )
 from .divergences import ProbVector
@@ -289,13 +288,20 @@ def _cap_note(label: str, bits: float, gap: float, iterations: int) -> str:
     return f"{label} {_fmt(bits)} bits, gap {gap:.1e}, {iterations} iterations"
 
 
-def _capped_b(b_rows) -> list[str]:
-    """Cap notes for the (p, bits, gap, status, iterations) rows of a barycentric B grid."""
-    return [
-        _cap_note(f"barycentric B at p={_fmt(p)}", bits, gap, iterations)
-        for p, bits, gap, status, iterations in b_rows
-        if status != STATUS_SOLVED
+def _grid_csv(header: str, grid: list[float], one) -> tuple[str, int]:
+    """CSV of one(p) -> (row values, B certificate) over the grid, run on a thread pool.
+
+    The exit code is 3, with a note per row, when any B hit its iteration cap.
+    """
+    with ThreadPoolExecutor(max_workers=_workers(len(grid))) as pool:
+        rows = list(pool.map(one, grid))
+    lines = [header] + [",".join(_fmt(v) for v in values) for values, _ in rows]
+    capped = [
+        _cap_note(f"barycentric B at p={_fmt(p)}", b.value, b.gap, b.iterations)
+        for p, (_, b) in zip(grid, rows)
+        if b.status != STATUS_SOLVED
     ]
+    return "\n".join(lines) + "\n", _cap_exit(capped)
 
 
 def _leakage_table(e: Ensemble, gap_tol: float, restarts: int, seed: int) -> tuple[str, int]:
@@ -394,30 +400,11 @@ def _cmd_tradeoff(args) -> tuple[str, int]:
     grid = _parse_grid(args.p_grid)
 
     def one(p: float):
-        return tradeoff_curve(model, inputs, prior, [p], gap_tol=args.gap_tol)[0]
+        r = tradeoff_curve(model, inputs, prior, [p], gap_tol=args.gap_tol)[0]
+        values = (r.p, r.gamma_actual, r.gamma_bound, r.leakage_B, r.leakage_R, r.leakage_bound)
+        return values, r.barycentric
 
-    with ThreadPoolExecutor(max_workers=_workers(len(grid))) as pool:
-        rows = list(pool.map(one, grid))
-    lines = [TRADEOFF_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.p,
-                    r.gamma_actual,
-                    r.gamma_bound,
-                    r.leakage_B,
-                    r.leakage_R,
-                    r.leakage_bound,
-                )
-            )
-        )
-    b_rows = (
-        (r.p, r.leakage_B, r.leakage_B_gap, r.leakage_B_status, r.leakage_B_iterations)
-        for r in rows
-    )
-    return "\n".join(lines) + "\n", _cap_exit(_capped_b(b_rows))
+    return _grid_csv(TRADEOFF_HEADER, grid, one)
 
 
 def _cmd_sweep(args) -> tuple[str, int]:
@@ -428,18 +415,10 @@ def _cmd_sweep(args) -> tuple[str, int]:
             raise ValidationError(f"--p-grid entry {p} outside [0, 1]")
 
     def one(p: float):
-        ch = depolarizing_global(p, e.dim)
-        b, r = leakage_after_channel(ch, e, gap_tol=args.gap_tol)
-        eps = dp_epsilon_bound_depolarizing(p, e.dim)
+        b, r, eps = depolarized_leakage(e, p, gap_tol=args.gap_tol)
         return (p, eps, eps / math.log(2.0), b.value, r.value), b
 
-    with ThreadPoolExecutor(max_workers=_workers(len(grid))) as pool:
-        rows = list(pool.map(one, grid))
-    lines = [SWEEP_HEADER]
-    for row, _ in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    b_rows = ((row[0], b.value, b.gap, b.status, b.iterations) for row, b in rows)
-    return "\n".join(lines) + "\n", _cap_exit(_capped_b(b_rows))
+    return _grid_csv(SWEEP_HEADER, grid, one)
 
 
 def _cmd_demo(args) -> tuple[str, int]:
@@ -458,12 +437,25 @@ def _cmd_demo(args) -> tuple[str, int]:
     return "\n".join(chunks) + "\n", max(code_a, code_b)
 
 
+# name: (handler, help, the flags it reads besides --output)
 _COMMANDS = {
-    "leakage": _cmd_leakage,
-    "dp-check": _cmd_dp_check,
-    "tradeoff": _cmd_tradeoff,
-    "sweep": _cmd_sweep,
-    "demo": _cmd_demo,
+    "leakage": (_cmd_leakage, "certificate table for an ensemble spec",
+                "input gap-tol seed restarts"),
+    "dp-check": (_cmd_dp_check, "max-divergence DP consequence check", "input"),
+    "tradeoff": (_cmd_tradeoff, "degradation vs leakage CSV over a depolarizing grid",
+                 "input gap-tol p-grid d"),
+    "sweep": (_cmd_sweep, "DP bound and leakage CSV over a depolarizing grid",
+              "input gap-tol p-grid"),
+    "demo": (_cmd_demo, "built-in basis-encoding and diagonal-pair instances", "gap-tol seed"),
+}
+_FLAGS = {
+    "input": dict(default=None, help="JSON input document"),
+    "gap-tol": dict(dest="gap_tol", type=float, default=1e-6),
+    "seed": dict(type=int, default=0),
+    "restarts": dict(type=int, default=32, help="random starts of the accessible-information "
+                     "search; 0 keeps the computational basis only"),
+    "p-grid": dict(dest="p_grid", default=_DEFAULT_GRID),
+    "d": dict(type=int, default=2, help="dimension for the default model"),
 }
 
 
@@ -473,30 +465,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Certified leakage measures, DP checks, and noise sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "leakage": "certificate table for an ensemble spec",
-        "dp-check": "max-divergence DP consequence check",
-        "tradeoff": "degradation vs leakage CSV over a depolarizing grid",
-        "sweep": "DP bound and leakage CSV over a depolarizing grid",
-        "demo": "built-in basis-encoding and diagonal-pair instances",
-    }
-    for name, text in specs.items():
+    for name, (_, text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        p.add_argument("--input", default=None, help="JSON input document")
         p.add_argument("--output", default=None, help="write here instead of stdout")
-        p.add_argument("--gap-tol", dest="gap_tol", type=float, default=1e-6)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--restarts", type=int, default=32, help="random starts of the "
-                       "accessible-information search; 0 keeps the computational basis only")
-        p.add_argument("--p-grid", dest="p_grid", default=_DEFAULT_GRID)
-        p.add_argument("--d", type=int, default=2, help="dimension for the default model")
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text, code = _COMMANDS[args.command](args)
+        text, code = _COMMANDS[args.command][0](args)
     except (ValidationError, DimensionMismatch, UnsupportedModeError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

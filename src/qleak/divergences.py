@@ -292,6 +292,23 @@ def max_relative_entropies(rhos, sigma) -> list[float]:
     return out
 
 
+def max_relative_entropy_pairs(states, pairs) -> list[float]:
+    """D_max(states[i] || states[j]) in bits for each pair (i, j), in pair order.
+
+    Pairs are grouped by their reference j, so each reference is decomposed
+    once by `max_relative_entropies`.
+    """
+    by_ref: dict[int, list[int]] = {}
+    for k, (_, j) in enumerate(pairs):
+        by_ref.setdefault(j, []).append(k)
+    out = [0.0] * len(pairs)
+    for j, ks in by_ref.items():
+        values = max_relative_entropies([states[pairs[k][0]] for k in ks], states[j])
+        for k, v in zip(ks, values):
+            out[k] = v
+    return out
+
+
 def sandwiched_renyi(rho, sigma, order) -> float:
     """Sandwiched Renyi divergence in bits.
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .divergences import ProbVector, max_relative_entropies
+from .divergences import ProbVector, max_relative_entropy_pairs
 from .errors import ChainViolationError, DimensionMismatch, ValidationError
 from .linalg import (
     PSD_TOL,
@@ -162,16 +162,12 @@ def pairwise_leakage(e: Ensemble) -> LeakageCertificate:
     witness names the first offending pair in (i, j) order, or else the
     first maximising one.  The prior plays no role.
     """
-    div = {}
-    for j, sigma in enumerate(e.states):
-        others = [i for i in range(e.count) if i != j]
-        values = max_relative_entropies([e.states[i] for i in others], sigma)
-        div.update(((i, j), v) for i, v in zip(others, values))
+    pairs = [(i, j) for i in range(e.count) for j in range(e.count) if i != j]
     best = 0.0
     witness = (0, 0)
-    for pair in sorted(div):
-        if div[pair] > best:
-            best, witness = div[pair], pair
+    for pair, div in zip(pairs, max_relative_entropy_pairs(e.states, pairs)):
+        if div > best:
+            best, witness = div, pair
         if math.isinf(best):
             break
     return LeakageCertificate(max(best, 0.0), KIND_PAIRWISE, witness, 0.0, "optimal")

@@ -15,16 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    QuantumChannel,
-    apply,
-    depolarizing_global,
-    dp_epsilon_bound_depolarizing,
-    leakage_after_channel,
-)
+from .channels import QuantumChannel, apply, depolarized_leakage, depolarizing_global
 from .divergences import ProbVector
 from .errors import ChainViolationError, DimensionMismatch, ValidationError
-from .leakage import Ensemble, Povm
+from .leakage import Ensemble, LeakageCertificate, Povm
 from .linalg import DensityOperator, HermitianOperator
 from .sdp import DEFAULT_GAP_TOL
 
@@ -196,9 +190,7 @@ class TradeoffRow:
     leakage_B: float
     leakage_R: float
     leakage_bound: float
-    leakage_B_gap: float
-    leakage_B_status: str
-    leakage_B_iterations: int
+    barycentric: LeakageCertificate  # B's gap, status and solver counts
 
 
 def tradeoff_curve(
@@ -222,31 +214,19 @@ def tradeoff_curve(
         e.prior,
         tuple(DensityOperator.from_matrix(u @ s.mat @ u.conj().T) for s in e.states),
     )
-    d = model.dim
     rows = []
     for p in p_grid:
         p = float(p)
         if not 0.0 < p <= 1.0:
             raise ValidationError(f"depolarizing grid point {p} outside (0, 1]")
-        ch = depolarizing_global(p, d)
+        ch = depolarizing_global(p, model.dim)
         gamma = performance_degradation(model, inputs, ch)
         gamma_bound = 2.0 * p
         if gamma > gamma_bound + 1e-9:
             raise ChainViolationError(
                 f"degradation {gamma:.9f} exceeds 2p = {gamma_bound:.9f} at p = {p}"
             )
-        b_cert, r_cert = leakage_after_channel(ch, rotated, gap_tol=gap_tol)
-        bound_bits = dp_epsilon_bound_depolarizing(p, d) / math.log(2.0)
-        if gamma > 0.0:
-            # Same cap rewritten through the degradation limit 2p;
-            # algebraically identical to bound_bits, kept as a separate
-            # evaluation so the two routes cross-check each other.
-            via_gamma = math.log2((1.0 - 2.0 * d) + 4.0 * d / gamma_bound)
-            if r_cert.value > via_gamma + gap_tol + 1e-6:
-                raise ChainViolationError(
-                    f"pairwise leakage {r_cert.value:.9f} exceeds the cap "
-                    f"{via_gamma:.9f} rewritten through 2p at p = {p}"
-                )
+        b_cert, r_cert, eps = depolarized_leakage(rotated, p, gap_tol=gap_tol)
         rows.append(
             TradeoffRow(
                 p=p,
@@ -254,10 +234,8 @@ def tradeoff_curve(
                 gamma_bound=gamma_bound,
                 leakage_B=b_cert.value,
                 leakage_R=r_cert.value,
-                leakage_bound=bound_bits,
-                leakage_B_gap=b_cert.gap,
-                leakage_B_status=b_cert.status,
-                leakage_B_iterations=b_cert.iterations,
+                leakage_bound=eps / math.log(2.0),
+                barycentric=b_cert,
             )
         )
     return rows

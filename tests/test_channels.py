@@ -1,6 +1,7 @@
 """Kraus channels, depolarizing factories, and the DP consequence check."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qleak.channels import (
     apply,
     apply_ensemble,
     compose,
+    depolarized_leakage,
     depolarizing_global,
     depolarizing_local,
     dp_epsilon_bound_depolarizing,
@@ -25,7 +27,12 @@ from qleak.channels import (
     tensor,
     verify_dp_on_ensemble,
 )
-from qleak.errors import DimensionMismatch, UnsupportedModeError, ValidationError
+from qleak.errors import (
+    ChainViolationError,
+    DimensionMismatch,
+    UnsupportedModeError,
+    ValidationError,
+)
 from qleak.leakage import Ensemble
 from qleak.linalg import DensityOperator, random_density
 
@@ -237,6 +244,48 @@ def test_leakage_after_channel_respects_depolarizing_cap():
     assert b.value <= bound and r.value <= bound
     b1, r1 = leakage_after_channel(depolarizing_global(1.0, 2), e)
     assert b1.value <= 1e-8 and r1.value <= 1e-8
+    b2, r2, eps = depolarized_leakage(e, 0.5)
+    assert (b2.value, r2.value, eps) == (b.value, r.value, dp_epsilon_bound_depolarizing(0.5, 2))
+    b0, r0, eps0 = depolarized_leakage(e, 0.0)  # no noise: no cap to check
+    assert eps0 == math.inf and r0.value == pytest.approx(math.log2(3.0), abs=1e-9)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+def test_local_noise_on_opposite_basis_states_matches_closed_forms(k, p):
+    # Each qubit of |0...0> and |1...1> becomes diag(1 - p/2, p/2) or its
+    # reverse; the global d = 2^k cap is below this R for k >= 2 at small p.
+    d = 2**k
+    ends = []
+    for x in (0, d - 1):
+        vec = np.zeros(d, dtype=np.complex128)
+        vec[x] = 1.0
+        ends.append(DensityOperator.pure(vec))
+    b, r = leakage_after_channel(depolarizing_local(p, k), Ensemble.uniform(tuple(ends)))
+    assert r.value == pytest.approx(k * math.log2((2.0 - p) / p), abs=1e-9)
+    assert abs(b.value - (1.0 - math.log2(1.0 + (p / (2.0 - p)) ** k))) <= b.gap + 1e-9
+
+
+@pytest.mark.parametrize("kind", ["pairwise", "barycentric"])
+def test_depolarized_leakage_enforces_the_cap(monkeypatch, kind):
+    bound = math.log2(5.0)  # p = 0.5, d = 2
+    real = getattr(channels_module, f"{kind}_leakage")
+    shifted = {}
+
+    def above_cap(noisy, **kwargs):
+        return replace(real(noisy, **kwargs), **shifted)
+
+    monkeypatch.setattr(channels_module, f"{kind}_leakage", above_cap)
+    shifted.update(value=bound + 1e-3)
+    with pytest.raises(ChainViolationError, match=f"{kind} leakage"):
+        depolarized_leakage(_diag_pair(), 0.5)
+    if kind == "barycentric":
+        # B may pass the cap by its certified gap, and no further.
+        shifted.update(value=bound + 0.5, gap=0.5)
+        depolarized_leakage(_diag_pair(), 0.5)
+        shifted.update(value=bound + 0.5 + 1e-3)
+        with pytest.raises(ChainViolationError, match="barycentric leakage"):
+            depolarized_leakage(_diag_pair(), 0.5)
 
 
 def test_full_depolarizing_washes_out_dp_distinctions():

@@ -5,11 +5,13 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import random_ensemble
+from qleak.channels import apply
 from qleak.cli import (
     SWEEP_HEADER,
     TRADEOFF_HEADER,
@@ -59,7 +61,8 @@ def test_parse_ensemble_names_missing_fields():
 
 def test_parse_channel_kinds():
     ch = parse_channel({"kind": "depolarizing_global", "params": {"p": 0.5, "d": 2}})
-    assert ch.noise == 0.5
+    ground = DensityOperator.from_matrix(np.diag([1.0, 0.0]))
+    assert np.allclose(apply(ch, ground).mat, np.diag([0.75, 0.25]), atol=1e-12)
     loc = parse_channel({"kind": "depolarizing_local", "params": {"p": 0.1, "qubits": 2}})
     assert loc.in_dim == 4
     raw = parse_channel(
@@ -302,9 +305,42 @@ def test_chain_violations_exit_four(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise ChainViolationError("synthetic ordering break")
 
-    monkeypatch.setattr(cli_mod, "leakage_after_channel", explode)
+    monkeypatch.setattr(cli_mod, "depolarized_leakage", explode)
     assert main(["sweep", "--p-grid", "0.5"]) == 4
     assert "chain violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", ["pairwise", "barycentric"])
+def test_sweep_exits_four_when_leakage_passes_the_cap(monkeypatch, capsys, bound):
+    import qleak.channels as channels_mod
+
+    real = getattr(channels_mod, f"{bound}_leakage")
+
+    def above_cap(noisy, **kwargs):
+        cert = real(noisy, **kwargs)
+        return replace(cert, value=math.log2(5.0) + cert.gap + 1e-3)  # p = 0.5, d = 2
+
+    monkeypatch.setattr(channels_mod, f"{bound}_leakage", above_cap)
+    assert main(["sweep", "--p-grid", "0.5"]) == 4
+    assert f"chain violation: {bound} leakage" in capsys.readouterr().err
+
+
+_IGNORED_FLAGS = {
+    "leakage": ["--p-grid", "--d"],
+    "dp-check": ["--gap-tol", "--seed", "--restarts", "--p-grid", "--d"],
+    "tradeoff": ["--seed", "--restarts"],
+    "sweep": ["--seed", "--restarts", "--d"],
+    "demo": ["--input", "--restarts", "--p-grid", "--d"],
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag", [(c, f) for c, flags in _IGNORED_FLAGS.items() for f in flags]
+)
+def test_a_flag_the_command_does_not_read_is_invalid_input(command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "1"])
+    assert exc.value.code == 2
 
 
 def test_console_module_entrypoint_runs():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qleak.divergences as divergences_module
 from qleak.channels import apply, depolarizing_global
 from qleak.divergences import (
     ORDER_INF,
@@ -14,6 +15,7 @@ from qleak.divergences import (
     ConditionalKernel,
     ProbVector,
     max_relative_entropies,
+    max_relative_entropy_pairs,
     petz_renyi,
     relative_entropy,
     renyi_classical,
@@ -220,3 +222,22 @@ def test_max_relative_entropies_match_eigh_oracle():
     assert leaking == math.inf
     assert sandwiched_renyi(inside, sigma, ORDER_INF) == finite
     assert sandwiched_renyi(escaping, sigma, ORDER_INF) == math.inf
+
+
+def test_max_relative_entropy_pairs_decompose_each_reference_once(monkeypatch):
+    states = [random_density(3, 3, seed=s) for s in range(3)] + [random_density(3, 1, seed=9)]
+    pairs = [(1, 0), (3, 2), (0, 1), (2, 0), (2, 2), (0, 3)]
+    want = [sandwiched_renyi(states[i], states[j], ORDER_INF) for i, j in pairs]
+    references = []
+    real = divergences_module.max_relative_entropies
+
+    def counted(rhos, sigma):
+        references.append(sigma)
+        return real(rhos, sigma)
+
+    monkeypatch.setattr(divergences_module, "max_relative_entropies", counted)
+    assert max_relative_entropy_pairs(states, pairs) == want
+    assert want[4] == 0.0 and want[5] == math.inf
+    assert len(references) == 4  # references 0, 2, 1, 3 in order of first use
+    assert all(r is states[j] for r, j in zip(references, (0, 2, 1, 3)))
+    assert max_relative_entropy_pairs(states, []) == []
