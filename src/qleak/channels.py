@@ -33,7 +33,6 @@ from .leakage import (
     pairwise_leakage,
 )
 from .linalg import DensityOperator, HermitianOperator, operator_power, trace_distance
-from .sdp import DEFAULT_GAP_TOL
 
 _TP_ATOL = 1e-9
 LOCAL_DIM_CAP = 64
@@ -231,15 +230,10 @@ def tensor(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
     return QuantumChannel(_kron_kraus(a.kraus, b.kraus))
 
 
-def random_channel(in_dim: int, out_dim: int | None = None, kraus_count: int | None = None, seed: int = 0) -> QuantumChannel:
-    """A Haar-flavoured random channel: Gaussian Kraus, then normalized."""
-    out_dim = in_dim if out_dim is None else out_dim
-    kraus_count = in_dim if kraus_count is None else kraus_count
+def random_channel(dim: int, seed: int = 0) -> QuantumChannel:
+    """A Haar-flavoured random channel on dimension dim: dim Gaussian Kraus, normalized."""
     rng = np.random.default_rng(seed)
-    raw = [
-        rng.normal(size=(out_dim, in_dim)) + 1j * rng.normal(size=(out_dim, in_dim))
-        for _ in range(kraus_count)
-    ]
+    raw = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(dim)]
     s = sum(g.conj().T @ g for g in raw)
     root = operator_power(HermitianOperator(s), -0.5).mat
     return QuantumChannel(tuple(g @ root for g in raw))
@@ -373,15 +367,15 @@ def verify_dp_on_ensemble(ch: QuantumChannel, e: Ensemble, params: DpParams) -> 
 
 
 def leakage_after_channel(
-    ch: QuantumChannel, e: Ensemble, gap_tol: float = DEFAULT_GAP_TOL
+    ch: QuantumChannel, e: Ensemble
 ) -> tuple[LeakageCertificate, LeakageCertificate]:
     """Barycentric and pairwise leakage of the channel-output ensemble."""
     noisy = apply_ensemble(ch, e)
-    return barycentric_leakage(noisy, gap_tol=gap_tol), pairwise_leakage(noisy)
+    return barycentric_leakage(noisy), pairwise_leakage(noisy)
 
 
 def depolarized_leakage(
-    e: Ensemble, p: float, gap_tol: float = DEFAULT_GAP_TOL
+    e: Ensemble, p: float
 ) -> tuple[LeakageCertificate, LeakageCertificate, float]:
     """B and R after global depolarizing noise of strength p, and its DP epsilon in nats.
 
@@ -390,7 +384,7 @@ def depolarized_leakage(
     defect, reported as ChainViolationError.  Local noise has no such
     check here: the global cap does not hold for it.
     """
-    b, r = leakage_after_channel(depolarizing_global(p, e.dim), e, gap_tol=gap_tol)
+    b, r = leakage_after_channel(depolarizing_global(p, e.dim), e)
     eps = dp_epsilon_bound_depolarizing(p, e.dim)
     bound = eps / math.log(2.0)
     if b.value > bound + b.gap + 1e-6:

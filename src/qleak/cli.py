@@ -304,40 +304,29 @@ def _grid_csv(header: str, grid: list[float], one) -> tuple[str, int]:
     return "\n".join(lines) + "\n", _cap_exit(capped)
 
 
-def _leakage_table(e: Ensemble, gap_tol: float, restarts: int, seed: int) -> tuple[str, int]:
-    report = inequality_chain_report(e, gap_tol=gap_tol, restarts=restarts, seed=seed)
+def _leakage_table(e: Ensemble, restarts: int, seed: int) -> tuple[str, int]:
+    report = inequality_chain_report(e, restarts=restarts, seed=seed)
     lines = [f"ensemble: {e.count} states in dimension {e.dim}"]
     lines.append(f"{'quantity':<22}{'bits':>12}{'gap':>12}  witness")
     lines.append(f"{'accessible (lower)':<22}{_fmt(report.accessible_lower):>12}{'-':>12}")
     lines.append(f"{'holevo':<22}{_fmt(report.holevo):>12}{'-':>12}")
     lines.append(f"{'srm guessing':<22}{_fmt(report.srm_povm_leakage):>12}{'-':>12}")
-    cert = report.sandwiched_inf
-    lines.append(
-        f"{'sandwiched-inf MI':<22}{_fmt(cert.value):>12}{cert.gap:>12.2e}"
+    b, r = report.barycentric, report.pairwise
+    weights = ", ".join(f"{w:.6f}" for w in np.asarray(b.witness, dtype=np.float64))
+    certified = (
+        ("sandwiched-inf MI", report.sandwiched_inf, ""),
+        ("maximal Q", report.maximal, ""),
+        ("barycentric B", b, f"  weights [{weights}]"),
+        ("pairwise R", r, f"  pair {r.witness}"),
     )
-    cert = report.maximal
-    lines.append(f"{'maximal Q':<22}{_fmt(cert.value):>12}{cert.gap:>12.2e}")
-    cert = report.barycentric
-    weights = ", ".join(f"{w:.6f}" for w in np.asarray(cert.witness, dtype=np.float64))
-    lines.append(
-        f"{'barycentric B':<22}{_fmt(cert.value):>12}{cert.gap:>12.2e}  weights [{weights}]"
-    )
-    cert = report.pairwise
-    lines.append(
-        f"{'pairwise R':<22}{_fmt(cert.value):>12}{cert.gap:>12.2e}  pair {cert.witness}"
-    )
+    for label, cert, witness in certified:
+        lines.append(f"{label:<22}{_fmt(cert.value):>12}{cert.gap:>12.2e}{witness}")
     lines.append("ordering checks (slack in bits):")
     for label, slack in report.checks.items():
         lines.append(f"  ok  {label:<26} {slack:.3e}")
-    rows = {
-        "sandwiched-inf MI": report.sandwiched_inf,
-        "maximal Q": report.maximal,
-        "barycentric B": report.barycentric,
-        "pairwise R": report.pairwise,
-    }
     capped = [
         _cap_note(label, cert.value, cert.gap, cert.iterations)
-        for label, cert in rows.items()
+        for label, cert, _ in certified
         if cert.status != STATUS_SOLVED
     ]
     return "\n".join(lines) + "\n", _cap_exit(capped)
@@ -347,7 +336,7 @@ def _cmd_leakage(args) -> tuple[str, int]:
     if not args.input:
         raise ValidationError("leakage needs --input with an ensemble spec")
     e = parse_ensemble(_load_json(args.input))
-    return _leakage_table(e, args.gap_tol, args.restarts, args.seed)
+    return _leakage_table(e, args.restarts, args.seed)
 
 
 def _cmd_dp_check(args) -> tuple[str, int]:
@@ -400,7 +389,7 @@ def _cmd_tradeoff(args) -> tuple[str, int]:
     grid = _parse_grid(args.p_grid)
 
     def one(p: float):
-        r = tradeoff_curve(model, inputs, prior, [p], gap_tol=args.gap_tol)[0]
+        r = tradeoff_curve(model, inputs, prior, [p])[0]
         values = (r.p, r.gamma_actual, r.gamma_bound, r.leakage_B, r.leakage_R, r.leakage_bound)
         return values, r.barycentric
 
@@ -415,7 +404,7 @@ def _cmd_sweep(args) -> tuple[str, int]:
             raise ValidationError(f"--p-grid entry {p} outside [0, 1]")
 
     def one(p: float):
-        b, r, eps = depolarized_leakage(e, p, gap_tol=args.gap_tol)
+        b, r, eps = depolarized_leakage(e, p)
         return (p, eps, eps / math.log(2.0), b.value, r.value), b
 
     return _grid_csv(SWEEP_HEADER, grid, one)
@@ -424,12 +413,12 @@ def _cmd_sweep(args) -> tuple[str, int]:
 def _cmd_demo(args) -> tuple[str, int]:
     chunks = []
     basis = _basis_ensemble(4)
-    table, code_a = _leakage_table(basis, args.gap_tol, restarts=8, seed=args.seed)
+    table, code_a = _leakage_table(basis, restarts=8, seed=args.seed)
     chunks.append("== basis encoding on two qubits ==")
     chunks.append(table.rstrip("\n"))
     chunks.append("summary: B = Q = 2.000000 bits, R = inf")
     pair = _diag_pair_ensemble()
-    table, code_b = _leakage_table(pair, args.gap_tol, restarts=8, seed=args.seed)
+    table, code_b = _leakage_table(pair, restarts=8, seed=args.seed)
     chunks.append("")
     chunks.append("== diagonal qubit pair ==")
     chunks.append(table.rstrip("\n"))
@@ -439,18 +428,15 @@ def _cmd_demo(args) -> tuple[str, int]:
 
 # name: (handler, help, the flags it reads besides --output)
 _COMMANDS = {
-    "leakage": (_cmd_leakage, "certificate table for an ensemble spec",
-                "input gap-tol seed restarts"),
+    "leakage": (_cmd_leakage, "certificate table for an ensemble spec", "input seed restarts"),
     "dp-check": (_cmd_dp_check, "max-divergence DP consequence check", "input"),
     "tradeoff": (_cmd_tradeoff, "degradation vs leakage CSV over a depolarizing grid",
-                 "input gap-tol p-grid d"),
-    "sweep": (_cmd_sweep, "DP bound and leakage CSV over a depolarizing grid",
-              "input gap-tol p-grid"),
-    "demo": (_cmd_demo, "built-in basis-encoding and diagonal-pair instances", "gap-tol seed"),
+                 "input p-grid d"),
+    "sweep": (_cmd_sweep, "DP bound and leakage CSV over a depolarizing grid", "input p-grid"),
+    "demo": (_cmd_demo, "built-in basis-encoding and diagonal-pair instances", "seed"),
 }
 _FLAGS = {
     "input": dict(default=None, help="JSON input document"),
-    "gap-tol": dict(dest="gap_tol", type=float, default=1e-6),
     "seed": dict(type=int, default=0),
     "restarts": dict(type=int, default=32, help="random starts of the accessible-information "
                      "search; 0 keeps the computational basis only"),

@@ -24,21 +24,15 @@ import numpy as np
 from .divergences import ProbVector, max_relative_entropy_pairs
 from .errors import ChainViolationError, DimensionMismatch, ValidationError
 from .linalg import (
-    PSD_TOL,
     DensityOperator,
     HermitianOperator,
+    _check_psd_spectrum,
     eig_hermitian,
     operator_power,
     random_unitary,
     von_neumann_entropy,
 )
-from .sdp import (
-    DEFAULT_GAP_TOL,
-    SdpSolution,
-    dominating_program,
-    solve,
-    weights_program,
-)
+from .sdp import SdpSolution, dominating_program, solve, weights_program
 
 KIND_MAXIMAL = "maximal"
 KIND_BARYCENTRIC = "barycentric"
@@ -110,12 +104,7 @@ class Povm:
         for f in elements:
             if f.dim != dim:
                 raise DimensionMismatch("POVM elements of mixed dimension")
-            w = eig_hermitian(f).eigenvalues
-            scale = max(1.0, float(np.max(np.abs(w), initial=0.0)))
-            if float(w[0]) < -PSD_TOL * scale:
-                raise ValidationError(
-                    f"POVM element has negative eigenvalue {float(w[0]):.3e}"
-                )
+            _check_psd_spectrum(eig_hermitian(f).eigenvalues, "POVM element")
             total += f.mat
         if float(np.max(np.abs(total - np.eye(dim)))) > POVM_COMPLETENESS_ATOL:
             raise ValidationError("POVM elements do not resolve the identity")
@@ -176,30 +165,30 @@ def pairwise_leakage(e: Ensemble) -> LeakageCertificate:
 def _solver_certificate(sol: SdpSolution, kind: str, witness) -> LeakageCertificate:
     """log2 of a solve's value, with its bracket as a gap in bits and its counts."""
     lower = max(float(sol.lower_bound), 1e-300)
-    gap = max(0.0, math.log2(float(sol.upper_bound)) - math.log2(lower))
+    gap = max(0.0, math.log2(float(sol.value)) - math.log2(lower))
     value = max(math.log2(max(float(sol.value), 1e-300)), 0.0)
     return LeakageCertificate(value, kind, witness, gap, sol.status, sol.iterations, sol.cut_count)
 
 
-def barycentric_leakage(e: Ensemble, gap_tol: float = DEFAULT_GAP_TOL) -> LeakageCertificate:
+def barycentric_leakage(e: Ensemble) -> LeakageCertificate:
     """log2 of the least total weight of a mixture dominating every state.
 
     The witness is the optimal barycenter prior.  On an iteration cap the
     partial bracket is reported through the gap instead of raising.
     """
-    sol = solve(weights_program(list(e.states)), gap_tol=gap_tol)
+    sol = solve(weights_program(list(e.states)))
     weights = np.clip(np.asarray(sol.primal, dtype=np.float64), 0.0, None)
     total = float(np.sum(weights))
     witness = weights / total if total > 0.0 else weights
     return _solver_certificate(sol, KIND_BARYCENTRIC, witness)
 
 
-def _dominating_certificate(e: Ensemble, gap_tol: float, kind: str) -> LeakageCertificate:
-    sol = solve(dominating_program(list(e.states)), gap_tol=gap_tol)
+def _dominating_certificate(e: Ensemble, kind: str) -> LeakageCertificate:
+    sol = solve(dominating_program(list(e.states)))
     return _solver_certificate(sol, kind, sol.primal)
 
 
-def max_leakage(e: Ensemble, gap_tol: float = DEFAULT_GAP_TOL) -> LeakageCertificate:
+def max_leakage(e: Ensemble) -> LeakageCertificate:
     """Maximal leakage: log2 of the optimal guessing-game payoff.
 
     The supremum over measurements of the guessing payoff equals the
@@ -208,19 +197,17 @@ def max_leakage(e: Ensemble, gap_tol: float = DEFAULT_GAP_TOL) -> LeakageCertifi
     brackets it between a measurement's payoff and the trace of a
     dominating operator, which is the witness.
     """
-    return _dominating_certificate(e, gap_tol, KIND_MAXIMAL)
+    return _dominating_certificate(e, KIND_MAXIMAL)
 
 
-def sandwiched_inf_mutual_information(
-    e: Ensemble, gap_tol: float = DEFAULT_GAP_TOL
-) -> LeakageCertificate:
+def sandwiched_inf_mutual_information(e: Ensemble) -> LeakageCertificate:
     """Order-infinity sandwiched mutual information of the CQ state.
 
     Shares the dominating program with max_leakage; it is reported as its
     own certificate because the two quantities arise from different
     definitions even though the programs coincide.
     """
-    return _dominating_certificate(e, gap_tol, KIND_SANDWICHED_INF_MI)
+    return _dominating_certificate(e, KIND_SANDWICHED_INF_MI)
 
 
 def povm_leakage(e: Ensemble, m: Povm) -> float:
@@ -407,12 +394,7 @@ class ChainReport:
     checks: dict
 
 
-def inequality_chain_report(
-    e: Ensemble,
-    gap_tol: float = DEFAULT_GAP_TOL,
-    restarts: int = 32,
-    seed: int = 0,
-) -> ChainReport:
+def inequality_chain_report(e: Ensemble, restarts: int = 32, seed: int = 0) -> ChainReport:
     """Compute every measure and enforce the leakage ordering.
 
     Verifies accessible <= Holevo <= B <= R and measurement <= Q <= B,
@@ -422,9 +404,9 @@ def inequality_chain_report(
     acc, _ = accessible_information_lower(e, restarts=restarts, seed=seed)
     chi = holevo_information(e)
     srm = povm_leakage(e, square_root_measurement(e))
-    q = _dominating_certificate(e, gap_tol, KIND_MAXIMAL)
+    q = _dominating_certificate(e, KIND_MAXIMAL)
     mi_inf = replace(q, kind=KIND_SANDWICHED_INF_MI)
-    b = barycentric_leakage(e, gap_tol=gap_tol)
+    b = barycentric_leakage(e)
     r = pairwise_leakage(e)
 
     checks = {

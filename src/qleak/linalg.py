@@ -77,10 +77,7 @@ class DensityOperator:
         tr = op.trace()
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValidationError(f"trace {tr!r} is not 1 within {TRACE_ATOL}")
-        w = eig_hermitian(op).eigenvalues
-        scale = float(np.max(np.abs(w))) if w.size else 0.0
-        if w.size and w[0] < -PSD_TOL * max(scale, 1.0):
-            raise ValidationError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
+        _check_psd_spectrum(eig_hermitian(op).eigenvalues, "matrix")
 
     @property
     def mat(self) -> np.ndarray:
@@ -192,28 +189,28 @@ def _spectrum_power(spec: Spectrum, t: float) -> HermitianOperator:
     return HermitianOperator((v * powered) @ v.conj().T)
 
 
-def support_contained(rho, sigma, tol: float = SUPPORT_RTOL) -> bool:
-    """True iff supp(rho) lies inside supp(sigma) at the given threshold.
+def support_contained(rho, sigma) -> bool:
+    """True iff supp(rho) lies inside supp(sigma) at threshold SUPPORT_RTOL.
 
-    Every eigenvector of sigma with eigenvalue at most tol times sigma's
-    largest eigenvalue must carry at most tol weight under rho.
+    Every eigenvector of sigma with eigenvalue at most SUPPORT_RTOL times
+    sigma's largest eigenvalue must carry at most SUPPORT_RTOL weight under rho.
     """
     r = _as_matrix(rho)
     s = _as_matrix(sigma)
     if r.shape != s.shape:
         raise DimensionMismatch(f"shapes {r.shape} and {s.shape} differ")
-    return _spectrum_contains(eig_hermitian(s), r, tol)
+    return _spectrum_contains(eig_hermitian(s), r)
 
 
-def _spectrum_contains(spec: Spectrum, r: np.ndarray, tol: float = SUPPORT_RTOL) -> bool:
+def _spectrum_contains(spec: Spectrum, r: np.ndarray) -> bool:
     """`support_contained` against an already decomposed sigma."""
     wmax = float(np.max(spec.eigenvalues)) if spec.eigenvalues.size else 0.0
-    kernel = spec.eigenvalues <= tol * max(wmax, 0.0)
+    kernel = spec.eigenvalues <= SUPPORT_RTOL * max(wmax, 0.0)
     if not np.any(kernel):
         return True
     vk = spec.eigenvectors[:, kernel]
     weights = np.real(np.einsum("ik,ij,jk->k", vk.conj(), r, vk))
-    return bool(np.all(weights <= tol))
+    return bool(np.all(weights <= SUPPORT_RTOL))
 
 
 def kron(a, b) -> HermitianOperator:

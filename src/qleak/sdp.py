@@ -9,16 +9,17 @@ inequalities built from a list of constraint states:
 The weights form runs cutting planes: its inequalities are relaxed to cuts
 v' (.) v >= v' rho_x' v, entered one eigenbasis at a time from one batched
 product of quadratic forms, and seeded with the eigenbasis of every state.
-Each iteration solves the cut relaxation exactly through its LP dual (a
-certified lower bound), scales the relaxation point by 2^D_max, the
-closed-form least factor that makes it dominate every state (a certified
-upper bound), and cuts along every violated eigenspace.  The dominating form
-is the dual of the optimal guessing game and needs no LP: a measurement from
-the minimum-error fixed point, sped up by an extrapolation step that is kept
-only when it pays more than the plain step, gives the lower bound, and an
-operator built from it gives the upper bound.  Both stop when the relative
-gap between the bounds closes.  Both scan their LMIs through one certified
-stacked eigendecomposition, `_lmi_spectra`.
+Each iteration solves the cut relaxation through its LP dual, whose
+multipliers, rescaled to exact dual feasibility, give a certified lower
+bound; scales the relaxation point by 2^D_max, the closed-form least factor
+that makes it dominate every state (a certified upper bound); and cuts along
+every violated eigenspace.  The dominating form is the dual of the optimal
+guessing game and needs no LP: a measurement from the minimum-error fixed
+point, sped up by an extrapolation step that is kept only when it pays more
+than the plain step, gives the lower bound, and an operator built from it
+gives the upper bound.  Both stop once the relative gap between the bounds
+is at most GAP_TOL, and both scan their LMIs through one certified stacked
+eigendecomposition, `_lmi_spectra`.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ FORM_DOMINATING = "dominating"
 STATUS_SOLVED = "optimal"
 STATUS_ITERATION_CAP = "iteration_cap"
 
-DEFAULT_GAP_TOL = 1e-6
+# Every solve stops once (value - lower_bound) / max(1, value) <= GAP_TOL.
+GAP_TOL = 1e-6
 FEAS_TOL = 1e-9
 # Cuts beyond the seeded eigenbasis pool past which the weights form stops
 # as iteration_cap.
@@ -94,12 +96,11 @@ def dominating_program(states) -> LmiProgram:
 
 @dataclass
 class SdpSolution:
-    """Certified solve result; value equals the feasible upper bound."""
+    """Certified solve result; value is the feasible upper bound."""
 
     value: float
     primal: object
     lower_bound: float
-    upper_bound: float
     status: str
     cut_count: int
     iterations: int
@@ -107,7 +108,7 @@ class SdpSolution:
 
     @property
     def relative_gap(self) -> float:
-        return (self.upper_bound - self.lower_bound) / max(1.0, self.upper_bound)
+        return (self.value - self.lower_bound) / max(1.0, self.value)
 
 
 def _point_matrix(program: LmiProgram, point) -> np.ndarray:
@@ -176,7 +177,12 @@ class _CutPool:
         return len(self.rows)
 
     def solve_relaxation(self) -> tuple[float, np.ndarray]:
-        """Exact optimum of the current cut relaxation via the LP dual."""
+        """A certified lower bound from the LP dual, and the relaxation point.
+
+        The LP solution lam gives PSD Z_x = sum of lam_k v_k v_k' over the cuts
+        of state x, with value h.lam and tr(rho_x sum_x' Z_x') = (G'lam)_x;
+        over max_x (G'lam)_x it is dual feasible whatever the simplex roundoff.
+        """
         g = np.stack(self.rows)
         h = np.asarray(self.rhs)
         # dual: max h.lam s.t. G'.lam <= 1, lam >= 0.  Slack columns come
@@ -194,7 +200,10 @@ class _CutPool:
         if res.status != STATUS_OPTIMAL:
             raise LpSolverError(f"cut relaxation LP returned {res.status}")
         self._warm = res.basis
-        return -res.objective, np.clip(-res.multipliers, 0.0, None)
+        lam = res.x[m:]
+        top = float(np.max(g.T @ lam))
+        lower = float(h @ lam) / top if top > 0.0 else 0.0
+        return lower, np.clip(-res.multipliers, 0.0, None)
 
 
 def _seeded_pool(program: LmiProgram) -> _CutPool:
@@ -246,7 +255,7 @@ def _payoffs(rhos: np.ndarray, families: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.einsum("xij,cxji->c", rhos, families).real / sizes, sizes
 
 
-def _solve_dominating(program: LmiProgram, gap_tol: float) -> SdpSolution:
+def _solve_dominating(program: LmiProgram) -> SdpSolution:
     """Bracket min tr(Y) over Y >= rho_x between a measurement and an operator.
 
     The minimum-error fixed point (Jezek, Rehacek, Fiurasek, PRA 65, 060301,
@@ -289,7 +298,7 @@ def _solve_dominating(program: LmiProgram, gap_tol: float) -> SdpSolution:
         if np.trace(y).real < upper:
             upper, primal = float(np.trace(y).real), HermitianOperator(y)
 
-        if (upper - lower) / max(1.0, upper) <= gap_tol:
+        if (upper - lower) / max(1.0, upper) <= GAP_TOL:
             status = STATUS_SOLVED
             break
         root = _spectrum_power(eig_hermitian((rhos @ povm @ rhos).sum(axis=0)), -0.5).mat
@@ -310,7 +319,6 @@ def _solve_dominating(program: LmiProgram, gap_tol: float) -> SdpSolution:
         value=upper,
         primal=primal,
         lower_bound=lower,
-        upper_bound=upper,
         status=status,
         cut_count=0,
         iterations=iterations,
@@ -318,12 +326,13 @@ def _solve_dominating(program: LmiProgram, gap_tol: float) -> SdpSolution:
     )
 
 
-def solve(program: LmiProgram, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
-    """Bracket the optimum until the relative gap closes.
+def solve(program: LmiProgram) -> SdpSolution:
+    """Bracket the optimum until the relative gap falls to GAP_TOL.
 
     The returned value is the certified upper bound and lower_bound a
     certified lower bound, so lower_bound <= optimum <= value always holds.
-    In the weights form lower_bound is the last relaxation optimum.  A
+    In the weights form lower_bound is the last relaxation's dual object,
+    rescaled to exact feasibility (see `_CutPool.solve_relaxation`).  A
     relaxation point z with A = sum_x z_x rho_x that violates an LMI is
     scaled by 2^max_x D_max(rho_x || A), the least t with t A >= rho_x for
     every x; the candidate is then lifted onto the feasible cone before
@@ -331,10 +340,8 @@ def solve(program: LmiProgram, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     eigensolver roundoff.  A point whose A misses a state's support has an
     infinite D_max and yields no candidate.
     """
-    if not (0.0 < gap_tol <= 1e-2):
-        raise ValidationError(f"gap_tol {gap_tol!r} outside (0, 1e-2]")
     if program.form == FORM_DOMINATING:
-        return _solve_dominating(program, gap_tol)
+        return _solve_dominating(program)
     pool = _seeded_pool(program)
     seeded = len(pool)
     # Unit weights are feasible: the sum of the states dominates each one.
@@ -368,7 +375,7 @@ def solve(program: LmiProgram, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
                     best_obj, best_point = cand_obj, cand_point
 
         gap = (best_obj - lower) / max(1.0, best_obj)
-        if gap <= gap_tol:
+        if gap <= GAP_TOL:
             status = STATUS_SOLVED
             break
         grown = len(pool) - seeded + sum(v.shape[1] for _, v in violated)
@@ -386,7 +393,6 @@ def solve(program: LmiProgram, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
         value=best_obj,
         primal=best_point,
         lower_bound=lower,
-        upper_bound=best_obj,
         status=status,
         cut_count=len(pool),
         iterations=iterations,

@@ -20,7 +20,6 @@ from .divergences import ProbVector
 from .errors import ChainViolationError, DimensionMismatch, ValidationError
 from .leakage import Ensemble, LeakageCertificate, Povm
 from .linalg import DensityOperator, HermitianOperator
-from .sdp import DEFAULT_GAP_TOL
 
 MAX_QUBITS = 6
 _UNITARY_ATOL = 1e-9
@@ -193,13 +192,7 @@ class TradeoffRow:
     barycentric: LeakageCertificate  # B's gap, status and solver counts
 
 
-def tradeoff_curve(
-    model: VariationalModel,
-    inputs,
-    prior,
-    p_grid,
-    gap_tol: float = DEFAULT_GAP_TOL,
-) -> list[TradeoffRow]:
+def tradeoff_curve(model: VariationalModel, inputs, prior, p_grid) -> list[TradeoffRow]:
     """Privacy-utility rows for global depolarizing noise on the model.
 
     Every row certifies the intercepted-state leakage (barycentric and
@@ -226,7 +219,7 @@ def tradeoff_curve(
             raise ChainViolationError(
                 f"degradation {gamma:.9f} exceeds 2p = {gamma_bound:.9f} at p = {p}"
             )
-        b_cert, r_cert, eps = depolarized_leakage(rotated, p, gap_tol=gap_tol)
+        b_cert, r_cert, eps = depolarized_leakage(rotated, p)
         rows.append(
             TradeoffRow(
                 p=p,

@@ -70,7 +70,7 @@ def test_criterion_2_inequality_chain_on_200_seeded_ensembles():
     slack = 1e-5
     for i in range(200):
         e = random_ensemble(2 + i % 3, 2 + i % 4, seed=1000 + i)
-        rep = inequality_chain_report(e, gap_tol=1e-6, restarts=2, seed=i)
+        rep = inequality_chain_report(e, restarts=2, seed=i)
         b, q = rep.barycentric, rep.maximal
         assert rep.accessible_lower <= rep.holevo + slack
         assert rep.holevo <= b.value + slack

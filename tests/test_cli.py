@@ -326,11 +326,11 @@ def test_sweep_exits_four_when_leakage_passes_the_cap(monkeypatch, capsys, bound
 
 
 _IGNORED_FLAGS = {
-    "leakage": ["--p-grid", "--d"],
+    "leakage": ["--gap-tol", "--p-grid", "--d"],
     "dp-check": ["--gap-tol", "--seed", "--restarts", "--p-grid", "--d"],
-    "tradeoff": ["--seed", "--restarts"],
-    "sweep": ["--seed", "--restarts", "--d"],
-    "demo": ["--input", "--restarts", "--p-grid", "--d"],
+    "tradeoff": ["--gap-tol", "--seed", "--restarts"],
+    "sweep": ["--gap-tol", "--seed", "--restarts", "--d"],
+    "demo": ["--gap-tol", "--input", "--restarts", "--p-grid", "--d"],
 }
 
 

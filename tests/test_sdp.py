@@ -1,5 +1,7 @@
 """LMI solvers against closed forms and classical oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,26 @@ def test_weights_cut_cap_counts_only_cuts_beyond_the_seeded_pool(monkeypatch):
     sol = solve(program)
     assert sol.status == STATUS_SOLVED
     assert sol.relative_gap <= 1e-6 + 1e-12
+
+
+def test_weights_lower_bound_does_not_trust_the_lp_objective(monkeypatch):
+    # The simplex accepts a vertex with residual up to 1e-6, the size of the
+    # gap tolerance; a solution scaled up by 1% exaggerates that error.  The
+    # rescaled dual object cancels any scale, where the LP objective would not.
+    program = weights_program(random_ensemble(3, 3, seed=1001).states)
+    exact = solve(program)
+    real = sdp.resume_phase2
+
+    def inflated(*args):
+        res = real(*args)
+        if res.x is None:
+            return res
+        return dataclasses.replace(res, x=res.x * 1.01, objective=res.objective * 1.01)
+
+    monkeypatch.setattr(sdp, "resume_phase2", inflated)
+    sol = solve(program)
+    assert sol.lower_bound <= sol.value
+    assert abs(sol.lower_bound - exact.lower_bound) <= 1e-12
 
 
 # Slow tails of the plain minimum-error fixed point: (2, 6, 8) took 12,528
