@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -245,20 +243,6 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
-def _workers(rows: int) -> int:
-    raw = os.environ.get("QLEAK_THREADS", "")
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError as ex:
-            raise ValidationError(f"QLEAK_THREADS must be an integer: {raw!r}") from ex
-        if cap < 1:
-            raise ValidationError(f"QLEAK_THREADS must be positive: {cap}")
-    else:
-        cap = 4
-    return max(1, min(cap, rows))
-
-
 def _diag_pair_ensemble() -> Ensemble:
     return Ensemble.uniform(
         (
@@ -288,13 +272,11 @@ def _cap_note(label: str, bits: float, gap: float, iterations: int) -> str:
     return f"{label} {_fmt(bits)} bits, gap {gap:.1e}, {iterations} iterations"
 
 
-def _grid_csv(header: str, grid: list[float], one) -> tuple[str, int]:
-    """CSV of one(p) -> (row values, B certificate) over the grid, run on a thread pool.
+def _grid_csv(header: str, grid: list[float], rows: list) -> tuple[str, int]:
+    """CSV of the (row values, B certificate) pairs, one per grid point.
 
     The exit code is 3, with a note per row, when any B hit its iteration cap.
     """
-    with ThreadPoolExecutor(max_workers=_workers(len(grid))) as pool:
-        rows = list(pool.map(one, grid))
     lines = [header] + [",".join(_fmt(v) for v in values) for values, _ in rows]
     capped = [
         _cap_note(f"barycentric B at p={_fmt(p)}", b.value, b.gap, b.iterations)
@@ -387,13 +369,12 @@ def _tradeoff_model(args) -> tuple[VariationalModel, list, np.ndarray]:
 def _cmd_tradeoff(args) -> tuple[str, int]:
     model, inputs, prior = _tradeoff_model(args)
     grid = _parse_grid(args.p_grid)
-
-    def one(p: float):
-        r = tradeoff_curve(model, inputs, prior, [p])[0]
-        values = (r.p, r.gamma_actual, r.gamma_bound, r.leakage_B, r.leakage_R, r.leakage_bound)
-        return values, r.barycentric
-
-    return _grid_csv(TRADEOFF_HEADER, grid, one)
+    rows = [
+        ((r.p, r.gamma_actual, r.gamma_bound, r.leakage_B, r.leakage_R, r.leakage_bound),
+         r.barycentric)
+        for r in tradeoff_curve(model, inputs, prior, grid)
+    ]
+    return _grid_csv(TRADEOFF_HEADER, grid, rows)
 
 
 def _cmd_sweep(args) -> tuple[str, int]:
@@ -402,12 +383,11 @@ def _cmd_sweep(args) -> tuple[str, int]:
     for p in grid:
         if not 0.0 <= p <= 1.0:
             raise ValidationError(f"--p-grid entry {p} outside [0, 1]")
-
-    def one(p: float):
+    rows = []
+    for p in grid:
         b, r, eps = depolarized_leakage(e, p)
-        return (p, eps, eps / math.log(2.0), b.value, r.value), b
-
-    return _grid_csv(SWEEP_HEADER, grid, one)
+        rows.append(((p, eps, eps / math.log(2.0), b.value, r.value), b))
+    return _grid_csv(SWEEP_HEADER, grid, rows)
 
 
 def _cmd_demo(args) -> tuple[str, int]:

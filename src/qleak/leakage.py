@@ -153,7 +153,7 @@ def pairwise_leakage(e: Ensemble) -> LeakageCertificate:
     """
     pairs = [(i, j) for i in range(e.count) for j in range(e.count) if i != j]
     best = 0.0
-    witness = (0, 0)
+    witness = pairs[0] if pairs else (0, 0)
     for pair, div in zip(pairs, max_relative_entropy_pairs(e.states, pairs)):
         if div > best:
             best, witness = div, pair
@@ -298,6 +298,8 @@ def accessible_information_lower(
     """
     if restarts < 0:
         raise ValidationError(f"restarts must be >= 0, got {restarts}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     prior = e.prior.probs
     d = e.dim
     rhos = np.array([s.mat for s in e.states])

@@ -25,6 +25,13 @@ MAX_QUBITS = 6
 _UNITARY_ATOL = 1e-9
 
 
+def _qubit_dim(qubits: int) -> int:
+    """2**qubits, once the qubit count is within 1..MAX_QUBITS."""
+    if not 1 <= qubits <= MAX_QUBITS:
+        raise ValidationError(f"qubit count {qubits} outside 1..{MAX_QUBITS}")
+    return 2**qubits
+
+
 @dataclass(frozen=True)
 class BasisEncoding:
     """Inputs are computational-basis labels x; V_x maps |0...0> to |x>."""
@@ -50,8 +57,7 @@ class VariationalModel:
     classifier: Povm
 
     def __post_init__(self):
-        if not 1 <= self.qubits <= MAX_QUBITS:
-            raise ValidationError(f"qubit count {self.qubits} outside 1..{MAX_QUBITS}")
+        d = _qubit_dim(self.qubits)
         if not isinstance(self.encoder, (BasisEncoding, AngleEncoding)):
             raise ValidationError(f"unknown encoder {self.encoder!r}")
         fixed = []
@@ -64,10 +70,9 @@ class VariationalModel:
             arr.setflags(write=False)
             fixed.append(arr)
         object.__setattr__(self, "layers", tuple(fixed))
-        if self.classifier.dim != 2**self.qubits:
+        if self.classifier.dim != d:
             raise DimensionMismatch(
-                f"classifier acts on dimension {self.classifier.dim}, "
-                f"circuit on {2 ** self.qubits}"
+                f"classifier acts on dimension {self.classifier.dim}, circuit on {d}"
             )
 
     @property
@@ -236,7 +241,7 @@ def tradeoff_curve(model: VariationalModel, inputs, prior, p_grid) -> list[Trade
 
 def basis_classifier(qubits: int, classes: int | None = None) -> Povm:
     """Basis projectors grouped round-robin into `classes` outcomes."""
-    d = 2**qubits
+    d = _qubit_dim(qubits)
     classes = d if classes is None else int(classes)
     if not 1 <= classes <= d:
         raise ValidationError(f"class count {classes} outside 1..{d}")

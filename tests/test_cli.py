@@ -2,9 +2,11 @@
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -161,12 +163,38 @@ def test_sweep_csv_formats_infinity(tmp_path):
     assert lines[2].split(",")[1] == "1.609438"
 
 
-def test_csv_output_is_deterministic(tmp_path, monkeypatch):
+def test_csv_output_is_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     main(["tradeoff", "--p-grid", "0.2,0.5,0.9", "--output", str(a)])
-    monkeypatch.setenv("QLEAK_THREADS", "1")
     main(["tradeoff", "--p-grid", "0.2,0.5,0.9", "--output", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_grid_points_run_in_order_on_the_calling_thread(monkeypatch):
+    import qleak.cli as cli_mod
+
+    calls = []
+
+    def recorded(name):
+        real = getattr(cli_mod, name)
+
+        def wrapper(*args):
+            # The last argument is the whole grid (tradeoff_curve) or one p.
+            on_main = threading.current_thread() is threading.main_thread()
+            calls.append((name, on_main, args[-1]))
+            return real(*args)
+
+        return wrapper
+
+    for name in ("tradeoff_curve", "depolarized_leakage"):
+        monkeypatch.setattr(cli_mod, name, recorded(name))
+    grid = [0.2, 0.5, 0.9]
+    argv = ["--p-grid", ",".join(map(str, grid)), "--output", os.devnull]
+    assert main(["tradeoff", *argv]) == 0
+    assert calls == [("tradeoff_curve", True, grid)]
+    calls.clear()
+    assert main(["sweep", *argv]) == 0
+    assert calls == [("depolarized_leakage", True, p) for p in grid]
 
 
 def test_validation_failures_exit_two(tmp_path, capsys):
@@ -180,6 +208,10 @@ def test_validation_failures_exit_two(tmp_path, capsys):
     assert main(["sweep", "--p-grid", "abc"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    for argv in (["leakage", "--input", str(_write_pair(tmp_path)), "--seed", "-1"],
+                 ["demo", "--seed", "-3"]):
+        assert main(argv) == 2
+        assert "error: seed must be >= 0" in capsys.readouterr().err
 
 
 def test_non_finite_state_entry_exits_two(tmp_path):
@@ -253,13 +285,15 @@ def _dp_doc(params=None, dp=None):
         ("tradeoff", {"qubits": 1.9, "encoder": "basis"}, "qubits"),
         ("leakage", {**_pair_doc(), "dimension": 2.9}, "dimension"),
         ("tradeoff", {"qubits": 1, "encoder": "basis", "inputs": [1.7]}, "inputs[0]"),
+        ("tradeoff", {"qubits": 64, "encoder": "basis"}, "qubit count"),
+        ("tradeoff", {"qubits": -1, "encoder": "basis"}, "qubit count"),
     ],
     ids=["states-not-list", "dimension-not-int", "p-not-number", "epsilon-not-number",
          "pair-of-one", "channel-dimension-mismatch", "spec-not-object",
          "neighbouring-not-object", "qubits-not-int", "classes-not-int",
          "angle-input-not-number", "basis-input-not-int", "inputs-empty",
          "kraus-not-list", "qubits-fractional", "dimension-fractional",
-         "basis-input-fractional"],
+         "basis-input-fractional", "qubits-too-many", "qubits-negative"],
 )
 def test_malformed_spec_exits_two(tmp_path, command, doc, named):
     path = tmp_path / "spec.json"
@@ -351,12 +385,6 @@ def test_console_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == TRADEOFF_HEADER
-
-
-def test_bad_thread_env_is_a_validation_error(monkeypatch, capsys):
-    monkeypatch.setenv("QLEAK_THREADS", "zero")
-    assert main(["tradeoff", "--p-grid", "0.5"]) == 2
-    assert "QLEAK_THREADS" in capsys.readouterr().err
 
 
 def test_leakage_iteration_cap_exits_three(tmp_path, monkeypatch, capsys):

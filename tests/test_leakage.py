@@ -331,3 +331,8 @@ def test_pairwise_leakage_witness_is_first_maximising_pair():
     cert = pairwise_leakage(_diag_pair())
     assert cert.value == math.log2(3.0)
     assert cert.witness == (0, 1)
+    # Identical states: every divergence is 0, and the first pair still maximises.
+    same = _diag_pair().states[0]
+    cert = pairwise_leakage(Ensemble.uniform((same, same, same)))
+    assert cert.value == 0.0
+    assert cert.witness == (0, 1)
