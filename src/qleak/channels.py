@@ -32,7 +32,9 @@ from .leakage import (
     barycentric_leakage,
     pairwise_leakage,
 )
-from .linalg import DensityOperator, HermitianOperator, operator_power, trace_distance
+from .linalg import (
+    SUPPORT_RTOL, DensityOperator, HermitianOperator, operator_power, trace_distance
+)
 
 _TP_ATOL = 1e-9
 LOCAL_DIM_CAP = 64
@@ -381,10 +383,18 @@ def depolarized_leakage(
 
     Both must respect the cap epsilon / ln 2 = log2(1 + 2(1-p)d/p) bits
     (inf at p = 0); breaching it beyond B's certified gap means a solver
-    defect, reported as ChainViolationError.  Local noise has no such
+    defect, reported as ChainViolationError.  An infinite R at p > 0 is a
+    resolution limit, reported as ValidationError.  Local noise has no such
     check here: the global cap does not hold for it.
     """
     b, r = leakage_after_channel(depolarizing_global(p, e.dim), e)
+    if p > 0.0 and math.isinf(r.value):
+        # The noisy states have full rank, so R is finite; inf means the floor
+        # p/d fell under the support threshold.
+        raise ValidationError(
+            f"depolarizing strength p = {p} is too small to resolve at d = {e.dim}: the noise "
+            f"floor p/d falls under SUPPORT_RTOL = {SUPPORT_RTOL} of the top eigenvalue"
+        )
     eps = dp_epsilon_bound_depolarizing(p, e.dim)
     bound = eps / math.log(2.0)
     if b.value > bound + b.gap + 1e-6:

@@ -45,13 +45,7 @@ class HermitianOperator:
         a = np.asarray(self.mat, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-        scale = float(np.max(np.abs(a))) if a.size else 0.0
-        if not np.isfinite(scale):
-            raise ValidationError("matrix has a non-finite entry")
-        gap = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-        if gap > HERMITICITY_ATOL * max(1.0, scale):
-            raise ValidationError(f"matrix is not Hermitian (asymmetry {gap:.3e})")
-        a = (a + a.conj().T) / 2.0
+        a = _hermitian_stack(a)
         a.setflags(write=False)
         object.__setattr__(self, "mat", a)
 
@@ -123,6 +117,27 @@ class Spectrum:
     @property
     def min(self) -> float:
         return float(self.eigenvalues[0])
+
+
+def _hermitian_stack(a: np.ndarray) -> np.ndarray:
+    """Symmetrised copy of a complex stack (..., d, d) of Hermitian matrices.
+
+    Each matrix must be finite and Hermitian to HERMITICITY_ATOL times
+    max(1, its largest entry); otherwise ValidationError.
+    """
+    ah = a.conj().swapaxes(-1, -2)
+    if a.size:
+        if not np.isfinite(np.max(np.abs(a))):
+            raise ValidationError("matrix has a non-finite entry")
+        gap = np.abs(a - ah)
+        # An asymmetry within HERMITICITY_ATOL everywhere clears every matrix at once.
+        if not np.max(gap) <= HERMITICITY_ATOL:
+            gap = np.max(gap, axis=(-2, -1))
+            bad = gap > HERMITICITY_ATOL * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+            if np.any(bad):
+                worst = float(np.max(gap, where=bad, initial=0.0))
+                raise ValidationError(f"matrix is not Hermitian (asymmetry {worst:.3e})")
+    return (a + ah) / 2.0
 
 
 def eig_hermitian(h) -> Spectrum:

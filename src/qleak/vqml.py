@@ -159,27 +159,31 @@ def encode_ensemble(model: VariationalModel, inputs, prior) -> Ensemble:
     return Ensemble(prior, states)
 
 
-def classify_probabilities(
-    model: VariationalModel, x, channel: QuantumChannel | None = None
-) -> ProbVector:
-    """Born-rule class probabilities, optionally after a noise channel."""
-    u = circuit_unitary(model)
-    psi = u @ _encode_state(model, x)
-    rho = DensityOperator.pure(psi)
-    if channel is not None:
-        rho = apply(channel, rho)
+def _born_probabilities(model: VariationalModel, rho: DensityOperator) -> ProbVector:
     probs = np.array(
         [float(np.einsum("ij,ji->", eff.mat, rho.mat).real) for eff in model.classifier.elements]
     )
     return ProbVector(np.clip(probs, 0.0, None))
 
 
+def classify_probabilities(
+    model: VariationalModel, x, channel: QuantumChannel | None = None
+) -> ProbVector:
+    """Born-rule class probabilities, optionally after a noise channel."""
+    rho = DensityOperator.pure(circuit_unitary(model) @ _encode_state(model, x))
+    if channel is not None:
+        rho = apply(channel, rho)
+    return _born_probabilities(model, rho)
+
+
 def performance_degradation(model: VariationalModel, inputs, channel: QuantumChannel) -> float:
     """Worst total-variation shift of the class distribution over the inputs."""
+    u = circuit_unitary(model)
     worst = 0.0
     for x in inputs:
-        clean = classify_probabilities(model, x).probs
-        noisy = classify_probabilities(model, x, channel).probs
+        rho = DensityOperator.pure(u @ _encode_state(model, x))
+        clean = _born_probabilities(model, rho).probs
+        noisy = _born_probabilities(model, apply(channel, rho)).probs
         worst = max(worst, float(np.sum(np.abs(clean - noisy))))
     return worst
 
@@ -206,6 +210,10 @@ def tradeoff_curve(model: VariationalModel, inputs, prior, p_grid) -> list[Trade
     leakage columns and 2p must dominate the degradation; violations are
     raised, not returned.
     """
+    grid = [float(p) for p in p_grid]
+    for p in grid:
+        if not 0.0 < p <= 1.0:
+            raise ValidationError(f"depolarizing grid point {p} outside (0, 1]")
     e = encode_ensemble(model, inputs, prior)
     u = circuit_unitary(model)
     rotated = Ensemble(
@@ -213,10 +221,7 @@ def tradeoff_curve(model: VariationalModel, inputs, prior, p_grid) -> list[Trade
         tuple(DensityOperator.from_matrix(u @ s.mat @ u.conj().T) for s in e.states),
     )
     rows = []
-    for p in p_grid:
-        p = float(p)
-        if not 0.0 < p <= 1.0:
-            raise ValidationError(f"depolarizing grid point {p} outside (0, 1]")
+    for p in grid:
         ch = depolarizing_global(p, model.dim)
         gamma = performance_degradation(model, inputs, ch)
         gamma_bound = 2.0 * p

@@ -333,6 +333,19 @@ def test_solver_failures_exit_three(tmp_path, monkeypatch, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+def test_unresolvably_small_p_exits_two(tmp_path, capsys):
+    pure = Ensemble.uniform((DensityOperator.pure([1.0, 0.0]), DensityOperator.pure([1.0, 1.0])))
+    path = tmp_path / "pure.json"
+    path.write_text(json.dumps(ensemble_to_json(pure)))
+    for argv in (["tradeoff", "--d", "16", "--p-grid", "1e-8"],
+                 ["tradeoff", "--d", "2", "--p-grid", "1e-9"],
+                 ["sweep", "--input", str(path), "--p-grid", "1e-10"]):
+        assert main(argv) == 2
+        assert "too small to resolve" in capsys.readouterr().err
+    assert main(["tradeoff", "--d", "2", "--p-grid", "3e-9"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[4] == "29.312390"
+
+
 def test_chain_violations_exit_four(monkeypatch, capsys):
     import qleak.cli as cli_mod
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qleak.divergences as divergences_module
+import qleak.linalg as linalg_module
 from qleak.channels import apply, depolarizing_global
 from qleak.divergences import (
     ORDER_INF,
@@ -23,7 +24,14 @@ from qleak.divergences import (
     sibson_information,
 )
 from qleak.errors import DimensionMismatch, ValidationError
-from qleak.linalg import DensityOperator, random_density, random_unitary
+from qleak.linalg import (
+    DensityOperator,
+    HermitianOperator,
+    _spectrum_power,
+    eig_hermitian,
+    random_density,
+    random_unitary,
+)
 
 
 def _dist(rng, n):
@@ -222,6 +230,40 @@ def test_max_relative_entropies_match_eigh_oracle():
     assert leaking == math.inf
     assert sandwiched_renyi(inside, sigma, ORDER_INF) == finite
     assert sandwiched_renyi(escaping, sigma, ORDER_INF) == math.inf
+
+
+def test_max_relative_entropies_decompose_in_slices_of_sixteen(monkeypatch):
+    u = random_unitary(3, seed=11)
+    sigma = DensityOperator.from_matrix(u @ np.diag([0.6, 0.4, 0.0]) @ u.conj().T)
+    block = np.zeros((3, 3), dtype=np.complex128)
+    inside = []
+    for s in range(18):
+        block[:2, :2] = random_density(2, 1 + s % 2, seed=20 + s).mat
+        inside.append(DensityOperator.from_matrix(u @ block @ u.conj().T))
+    escaping = random_density(3, 3, seed=40)
+    rhos = inside[:9] + [sigma, escaping] + inside[9:]  # m = 18 left to decompose
+    root = _spectrum_power(eig_hermitian(sigma), -0.5).mat
+    want = [math.log2(eig_hermitian(HermitianOperator(root @ r.mat @ root)).max) for r in inside]
+    want = want[:9] + [0.0, math.inf] + want[9:]
+    calls = []
+    real = linalg_module.eigh_stack
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(linalg_module, "eigh_stack", counted)
+    monkeypatch.setattr(divergences_module, "eigh_stack", counted)
+    assert max_relative_entropies(rhos, sigma) == want
+    assert calls == [(3, 3), (16, 3, 3), (2, 3, 3)]  # sigma, then ceil(18 / 16) slices
+
+
+def test_max_relative_entropies_reject_a_non_hermitian_raw_array():
+    sigma = random_density(2, 2, seed=1)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        max_relative_entropies([np.array([[0.5, 0.1], [0.0, 0.5]])], sigma)
+    with pytest.raises(ValidationError, match="non-finite"):
+        max_relative_entropies([sigma, np.array([[0.5, math.nan], [math.nan, 0.5]])], sigma)
 
 
 def test_max_relative_entropy_pairs_decompose_each_reference_once(monkeypatch):

@@ -12,6 +12,7 @@ from qleak.errors import DimensionMismatch, EigenSolverError, ValidationError
 from qleak.linalg import (
     DensityOperator,
     HermitianOperator,
+    _hermitian_stack,
     eig_hermitian,
     eigh_stack,
     kron,
@@ -119,6 +120,21 @@ def test_hermitian_operator_rejects_bad_shapes():
         HermitianOperator(np.zeros((2, 3)))
     with pytest.raises(ValidationError):
         HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_hermitian_stack_holds_each_matrix_to_its_own_scale():
+    big = _random_hermitian(3, 1) * 1e8
+    big[0, 1] += 1e-6  # within HERMITICITY_ATOL times its scale
+    small = _random_hermitian(3, 2)
+    small[0, 1] += 1e-10  # beyond HERMITICITY_ATOL at scale 1
+    out = _hermitian_stack(np.stack([big, _random_hermitian(3, 3)]))
+    np.testing.assert_array_equal(out[0], HermitianOperator(big).mat)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        HermitianOperator(small)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        _hermitian_stack(np.stack([big, small]))
+    with pytest.raises(ValidationError, match="non-finite"):
+        _hermitian_stack(np.stack([big, np.full((3, 3), math.nan)]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import qleak.vqml as vqml_module
 from qleak.channels import depolarizing_global, identity_channel
 from qleak.errors import DimensionMismatch, ValidationError
 from qleak.leakage import Povm
@@ -127,6 +128,34 @@ def test_degradation_capped_by_twice_noise_strength():
             assert gamma <= 2.0 + 1e-12
 
 
+@pytest.mark.parametrize("encoder", [BasisEncoding(), AngleEncoding()])
+def test_degradation_builds_the_circuit_once(monkeypatch, encoder):
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 3):
+        model = random_model(k, classes=2, encoder=encoder, seed=k)
+        if isinstance(encoder, AngleEncoding):
+            inputs = [rng.uniform(0, 2 * math.pi, size=k) for _ in range(3)]
+        else:
+            inputs = [0, 2**k - 1, 1]
+        ch = depolarizing_global(0.3, 2**k)
+        want = max(
+            float(np.sum(np.abs(classify_probabilities(model, x).probs
+                                - classify_probabilities(model, x, ch).probs)))
+            for x in inputs
+        )
+        built = []
+        real = vqml_module.circuit_unitary
+
+        def counted(m):
+            built.append(m)
+            return real(m)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(vqml_module, "circuit_unitary", counted)
+            assert performance_degradation(model, inputs, ch) == want
+        assert len(built) == 1
+
+
 def test_tradeoff_rows_worked_values():
     model = _angle_model(layers=(np.array([0.4, 0.9]),))
     inputs = [[math.pi / 3], [2 * math.pi / 3]]
@@ -161,12 +190,23 @@ def test_bound_identity_under_degradation_rewrite():
             assert abs(direct - via_gamma) <= 1e-12
 
 
-def test_tradeoff_rejects_bad_grid():
+def test_tradeoff_rejects_bad_grid(monkeypatch):
     model = _angle_model()
+    solved = []
+    real = vqml_module.depolarized_leakage
+
+    def counted(e, p):
+        solved.append(p)
+        return real(e, p)
+
+    monkeypatch.setattr(vqml_module, "depolarized_leakage", counted)
     with pytest.raises(ValidationError):
         tradeoff_curve(model, [[0.0]], [1.0], [0.0, 0.5])
     with pytest.raises(ValidationError):
         tradeoff_curve(model, [[0.0]], [1.0], [1.5])
+    with pytest.raises(ValidationError):
+        tradeoff_curve(model, [[0.0]], [1.0], [0.3, 0.0])
+    assert solved == []  # the whole grid is checked before the first solve
 
 
 def test_basis_classifier_partitions_identity():
