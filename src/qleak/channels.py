@@ -377,7 +377,7 @@ def leakage_after_channel(
 
 
 def depolarized_leakage(
-    e: Ensemble, p: float
+    e: Ensemble, p: float, noisy: Ensemble | None = None
 ) -> tuple[LeakageCertificate, LeakageCertificate, float]:
     """B and R after global depolarizing noise of strength p, and its DP epsilon in nats.
 
@@ -385,9 +385,12 @@ def depolarized_leakage(
     (inf at p = 0); breaching it beyond B's certified gap means a solver
     defect, reported as ChainViolationError.  An infinite R at p > 0 is a
     resolution limit, reported as ValidationError.  Local noise has no such
-    check here: the global cap does not hold for it.
+    check here: the global cap does not hold for it.  A caller that already
+    holds e through `depolarizing_global(p, e.dim)` passes it as `noisy`.
     """
-    b, r = leakage_after_channel(depolarizing_global(p, e.dim), e)
+    if noisy is None:
+        noisy = apply_ensemble(depolarizing_global(p, e.dim), e)
+    b, r = barycentric_leakage(noisy), pairwise_leakage(noisy)
     if p > 0.0 and math.isinf(r.value):
         # The noisy states have full rank, so R is finite; inf means the floor
         # p/d fell under the support threshold.

@@ -9,6 +9,7 @@ seed.  Exit codes: 0 success, 2 validation, 3 solver non-convergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -425,7 +426,9 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call and reused after."""
     parser = argparse.ArgumentParser(
         prog="qleak",
         description="Certified leakage measures, DP checks, and noise sweeps.",

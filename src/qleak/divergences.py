@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, ValidationError
 from .linalg import (
     SUPPORT_RTOL,
+    DensityOperator,
     HermitianOperator,
     Spectrum,
     _as_matrix,
@@ -222,8 +223,8 @@ def _supports(rho, sigma):
     smat = _as_matrix(sigma)
     if rmat.shape != smat.shape:
         raise DimensionMismatch(f"shapes {rmat.shape} and {smat.shape} differ")
-    rspec = _psd_spectrum("first argument", rmat)
-    sspec = _psd_spectrum("second argument", smat)
+    rspec = _psd_spectrum("first argument", rho)
+    sspec = _psd_spectrum("second argument", sigma)
     rw = np.clip(rspec.eigenvalues, 0.0, None)
     sw = np.clip(sspec.eigenvalues, 0.0, None)
     ron = rw > SUPPORT_RTOL * float(np.max(rw, initial=0.0))
@@ -270,18 +271,26 @@ def petz_renyi(rho, sigma, order) -> float:
     return _logsumexp(logs[keep]) / ((a - 1.0) * math.log(2.0))
 
 
+def _operator(h):
+    """h itself when it is an operator, else h made into a HermitianOperator."""
+    return h if isinstance(h, (HermitianOperator, DensityOperator)) else HermitianOperator(h)
+
+
 def max_relative_entropies(rhos, sigma) -> list[float]:
-    """D_max(rho || sigma) in bits for each rho, decomposing sigma once.
+    """D_max(rho || sigma) in bits for each rho, decomposing sigma at most once.
 
     D_max is the order-infinity sandwiched divergence, log2 of the least mu
     with rho <= mu sigma: the log2 of the top eigenvalue of
     sigma^-1/2 rho sigma^-1/2, and math.inf when supp(rho) escapes
-    supp(sigma).  A rho equal to sigma gets exactly 0.0, which the
-    eigenvalue route would miss by rounding.  The remaining sandwiches are
-    checked and decomposed as stacks of at most _DMAX_STACK matrices.
+    supp(sigma).  A sigma operator's kept spectrum is reused, and a
+    full-rank sigma contains every support.  A rho equal to sigma gets
+    exactly 0.0, which the eigenvalue route would miss by rounding.  The
+    remaining sandwiches are checked and decomposed as stacks of at most
+    _DMAX_STACK matrices.
     """
     smat = _as_matrix(sigma)
-    spec = _psd_spectrum("second argument", HermitianOperator(smat))
+    spec = _psd_spectrum("second argument", _operator(sigma))
+    full_rank = not spec.kernel.shape[1]
     root = _spectrum_power(spec, -0.5).mat
     out = []
     todo = []  # (position in out, rho) for each rho that needs its top eigenvalue
@@ -291,7 +300,7 @@ def max_relative_entropies(rhos, sigma) -> list[float]:
             raise DimensionMismatch(f"shapes {rmat.shape} and {smat.shape} differ")
         if np.array_equal(rmat, smat):
             out.append(0.0)
-        elif not _spectrum_contains(spec, rmat):
+        elif not full_rank and not _spectrum_contains(spec, rmat):
             out.append(math.inf)
         else:
             todo.append((len(out), rmat))
@@ -337,7 +346,7 @@ def sandwiched_renyi(rho, sigma, order) -> float:
     smat = _as_matrix(sigma)
     if rmat.shape != smat.shape:
         raise DimensionMismatch(f"shapes {rmat.shape} and {smat.shape} differ")
-    spec = _psd_spectrum("second argument", HermitianOperator(smat))
+    spec = _psd_spectrum("second argument", _operator(sigma))
     a = alpha.value
     if a > 1.0 and not _spectrum_contains(spec, rmat):
         return math.inf

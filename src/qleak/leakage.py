@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -116,6 +117,11 @@ class Povm:
     @property
     def count(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def mats(self) -> np.ndarray:
+        """The elements as one (count, d, d) stack."""
+        return np.stack([f.mat for f in self.elements])
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,19 @@ All callers in this package work with operators of dimension at most 64.
 Eigendecompositions come from LAPACK's Hermitian solver through
 `numpy.linalg.eigh`.  `eigh_stack` decomposes a whole stack in one call and
 checks each matrix by reconstructing it before returning; `eig_hermitian`
-goes through it for a single operator.  Results are reproducible on one
-machine and numpy build, but may differ in the last bits across LAPACK
-builds, and eigenvectors inside a degenerate eigenspace are whatever basis
-LAPACK picks.
+goes through it for a single operator.  An operator is decomposed at most
+once: `HermitianOperator.spectrum` keeps its certified spectrum, read-only,
+on the frozen object, and a `DensityOperator`'s PSD check fills it, so
+every later reader of that operator's eigenbasis reuses it.  Raw arrays are
+decomposed afresh on every call.  Results are reproducible on one machine
+and numpy build, but may differ in the last bits across LAPACK builds, and
+eigenvectors inside a degenerate eigenspace are whatever basis LAPACK picks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +59,12 @@ class HermitianOperator:
 
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
+
+    @cached_property
+    def spectrum(self) -> "Spectrum":
+        """The certified eigendecomposition, computed on first read and kept."""
+        w, v = eigh_stack(self.mat)
+        return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
 @dataclass(frozen=True)
@@ -118,6 +128,13 @@ class Spectrum:
     def min(self) -> float:
         return float(self.eigenvalues[0])
 
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """Eigenvectors, as columns, whose eigenvalues are at most SUPPORT_RTOL of the top one."""
+        w = self.eigenvalues
+        wmax = float(np.max(w)) if w.size else 0.0
+        return self.eigenvectors[:, w <= SUPPORT_RTOL * max(wmax, 0.0)]
+
 
 def _hermitian_stack(a: np.ndarray) -> np.ndarray:
     """Symmetrised copy of a complex stack (..., d, d) of Hermitian matrices.
@@ -141,7 +158,14 @@ def _hermitian_stack(a: np.ndarray) -> np.ndarray:
 
 
 def eig_hermitian(h) -> Spectrum:
-    """Full eigendecomposition of a Hermitian operator, certified as in `eigh_stack`."""
+    """Full eigendecomposition of a Hermitian operator, certified as in `eigh_stack`.
+
+    An operator's kept spectrum is returned as it is; a raw array is decomposed.
+    """
+    if isinstance(h, DensityOperator):
+        return h.op.spectrum
+    if isinstance(h, HermitianOperator):
+        return h.spectrum
     w, v = eigh_stack(_as_matrix(h))
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
@@ -214,16 +238,14 @@ def support_contained(rho, sigma) -> bool:
     s = _as_matrix(sigma)
     if r.shape != s.shape:
         raise DimensionMismatch(f"shapes {r.shape} and {s.shape} differ")
-    return _spectrum_contains(eig_hermitian(s), r)
+    return _spectrum_contains(eig_hermitian(sigma), r)
 
 
 def _spectrum_contains(spec: Spectrum, r: np.ndarray) -> bool:
     """`support_contained` against an already decomposed sigma."""
-    wmax = float(np.max(spec.eigenvalues)) if spec.eigenvalues.size else 0.0
-    kernel = spec.eigenvalues <= SUPPORT_RTOL * max(wmax, 0.0)
-    if not np.any(kernel):
+    vk = spec.kernel
+    if not vk.shape[1]:
         return True
-    vk = spec.eigenvectors[:, kernel]
     weights = np.real(np.einsum("ik,ij,jk->k", vk.conj(), r, vk))
     return bool(np.all(weights <= SUPPORT_RTOL))
 

@@ -219,14 +219,16 @@ def _seeded_pool(program: LmiProgram) -> _CutPool:
 _LIFT_PAD = 1e-12
 
 
-def _certify_point(program: LmiProgram, point, obj: float):
+def _certify_point(program: LmiProgram, point, obj: float, worst: float | None = None):
     """Lift near-feasible weights onto the cone so obj upper-bounds the optimum.
 
     Relaxation points can violate the LMIs by up to FEAS_TOL, which would
     let the reported value undercut the true optimum; the lift closes that
     hole at a cost of at most count * (FEAS_TOL + pad) / mu in objective.
+    `worst` is the point's `_worst_eigenvalue` when the caller has scanned it.
     """
-    worst = _worst_eigenvalue(program, _point_matrix(program, point))
+    if worst is None:
+        worst = _worst_eigenvalue(program, _point_matrix(program, point))
     if worst >= 0.0:
         return obj, point
     lift = -worst + _LIFT_PAD
@@ -352,7 +354,13 @@ def solve(program: LmiProgram) -> SdpSolution:
     iterations = 0
     while True:
         iterations += 1
-        lower, z = pool.solve_relaxation()
+        try:
+            lower, z = pool.solve_relaxation()
+        except LpSolverError as ex:
+            raise LpSolverError(
+                f"{ex} at iteration {iterations} with {len(pool)} cuts; "
+                f"last bracket [{lower:.9g}, {best_obj:.9g}]"
+            ) from ex
         trace.append(lower)
         a = _point_matrix(program, z)
         obj = float(np.sum(z))
@@ -368,9 +376,13 @@ def solve(program: LmiProgram) -> SdpSolution:
         if 0.0 < obj < best_obj:
             # A point within FEAS_TOL of feasible keeps scale 1: the lift in
             # _certify_point repairs it more cheaply than a rounded 2^D_max.
-            scale = 2.0 ** max(max_relative_entropies(program.states, a)) if violated else 1.0
+            if violated:
+                scale, worst = 2.0 ** max(max_relative_entropies(program.states, a)), None
+            else:
+                # z itself, whose LMIs the scan above has just checked.
+                scale, worst = 1.0, min(0.0, float(w[:, 0].min()))
             if scale * obj < best_obj:
-                cand_obj, cand_point = _certify_point(program, z * scale, scale * obj)
+                cand_obj, cand_point = _certify_point(program, z * scale, scale * obj, worst)
                 if cand_obj < best_obj:
                     best_obj, best_point = cand_obj, cand_point
 

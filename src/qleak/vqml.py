@@ -160,9 +160,7 @@ def encode_ensemble(model: VariationalModel, inputs, prior) -> Ensemble:
 
 
 def _born_probabilities(model: VariationalModel, rho: DensityOperator) -> ProbVector:
-    probs = np.array(
-        [float(np.einsum("ij,ji->", eff.mat, rho.mat).real) for eff in model.classifier.elements]
-    )
+    probs = np.einsum("kij,ji->k", model.classifier.mats, rho.mat).real
     return ProbVector(np.clip(probs, 0.0, None))
 
 
@@ -176,16 +174,20 @@ def classify_probabilities(
     return _born_probabilities(model, rho)
 
 
+def _worst_shift(model: VariationalModel, clean, noisy) -> float:
+    """Worst total-variation shift of the class distribution between paired states."""
+    worst = 0.0
+    for rho, sigma in zip(clean, noisy):
+        shift = _born_probabilities(model, rho).probs - _born_probabilities(model, sigma).probs
+        worst = max(worst, float(np.sum(np.abs(shift))))
+    return worst
+
+
 def performance_degradation(model: VariationalModel, inputs, channel: QuantumChannel) -> float:
     """Worst total-variation shift of the class distribution over the inputs."""
     u = circuit_unitary(model)
-    worst = 0.0
-    for x in inputs:
-        rho = DensityOperator.pure(u @ _encode_state(model, x))
-        clean = _born_probabilities(model, rho).probs
-        noisy = _born_probabilities(model, apply(channel, rho)).probs
-        worst = max(worst, float(np.sum(np.abs(clean - noisy))))
-    return worst
+    clean = [DensityOperator.pure(u @ _encode_state(model, x)) for x in inputs]
+    return _worst_shift(model, clean, [apply(channel, rho) for rho in clean])
 
 
 @dataclass(frozen=True)
@@ -208,7 +210,12 @@ def tradeoff_curve(model: VariationalModel, inputs, prior, p_grid) -> list[Trade
     pairwise) of the noisy circuit outputs and evaluates the degradation
     exactly.  The leakage bound log2(1 + 2(1-p)d/p) must dominate both
     leakage columns and 2p must dominate the degradation; violations are
-    raised, not returned.
+    raised, not returned.  The degradation's clean output U V_x|0...0> is
+    the encoded state V_x|0...0> itself where the circuit leaves the
+    vector's bytes unchanged, and the intercepted state U rho_x U' is that
+    output where their bytes agree.  Every reader of a shared state, and of
+    its noisy state at each p, then reuses one object and its one
+    decomposition.
     """
     grid = [float(p) for p in p_grid]
     for p in grid:
@@ -216,20 +223,29 @@ def tradeoff_curve(model: VariationalModel, inputs, prior, p_grid) -> list[Trade
             raise ValidationError(f"depolarizing grid point {p} outside (0, 1]")
     e = encode_ensemble(model, inputs, prior)
     u = circuit_unitary(model)
-    rotated = Ensemble(
-        e.prior,
-        tuple(DensityOperator.from_matrix(u @ s.mat @ u.conj().T) for s in e.states),
-    )
+    clean, rotated = [], []
+    for x, s in zip(inputs, e.states):
+        v = _encode_state(model, x)
+        uv = u @ v
+        clean.append(s if uv.tobytes() == v.tobytes() else DensityOperator.pure(uv))
+        op = HermitianOperator(u @ s.mat @ u.conj().T)
+        same = op.mat.tobytes() == clean[-1].mat.tobytes()
+        rotated.append(clean[-1] if same else DensityOperator(op))
+    intercepted = Ensemble(e.prior, tuple(rotated))
     rows = []
     for p in grid:
         ch = depolarizing_global(p, model.dim)
-        gamma = performance_degradation(model, inputs, ch)
+        noisy_clean = [apply(ch, rho) for rho in clean]
+        noisy = tuple(
+            n if r is c else apply(ch, r) for c, n, r in zip(clean, noisy_clean, rotated)
+        )
+        gamma = _worst_shift(model, clean, noisy_clean)
         gamma_bound = 2.0 * p
         if gamma > gamma_bound + 1e-9:
             raise ChainViolationError(
                 f"degradation {gamma:.9f} exceeds 2p = {gamma_bound:.9f} at p = {p}"
             )
-        b_cert, r_cert, eps = depolarized_leakage(rotated, p)
+        b_cert, r_cert, eps = depolarized_leakage(intercepted, p, Ensemble(e.prior, noisy))
         rows.append(
             TradeoffRow(
                 p=p,

@@ -333,6 +333,49 @@ def test_solver_failures_exit_three(tmp_path, monkeypatch, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+def test_lp_failure_exits_three_naming_iteration_and_cuts(tmp_path, monkeypatch, capsys):
+    from qleak import sdp
+    from qleak.simplex import STATUS_ITERATION_LIMIT, SimplexResult
+
+    real = sdp.resume_phase2
+    cuts = []
+
+    def fail_after_first(cost, a_eq, b_eq, basis):
+        cuts.append(a_eq.shape[1] - a_eq.shape[0])  # columns past the slacks
+        if len(cuts) == 1:
+            return real(cost, a_eq, b_eq, basis)
+        return SimplexResult(STATUS_ITERATION_LIMIT, None, math.nan, None, 0)
+
+    monkeypatch.setattr(sdp, "resume_phase2", fail_after_first)
+    path = tmp_path / "ensemble.json"
+    path.write_text(json.dumps(ensemble_to_json(random_ensemble(3, 3, seed=0))))
+    assert main(["leakage", "--input", str(path), "--restarts", "0"]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert len(cuts) == 3 and cuts[1] == cuts[2] > cuts[0]  # a warm start, then the retry
+    assert line.startswith("solver error: cut relaxation LP returned iteration_limit")
+    assert f"at iteration 2 with {cuts[1]} cuts; last bracket [" in line
+
+
+def test_parser_is_built_once_on_the_first_main_call(monkeypatch):
+    import qleak.cli as cli_mod
+
+    probe = "import qleak.cli as c; print(c._build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.stdout.strip() == "0"  # importing builds nothing
+    seen = []
+
+    def record(args):
+        seen.append((args.d, args.p_grid))
+        return "", 0
+
+    _, text, flags = cli_mod._COMMANDS["tradeoff"]
+    monkeypatch.setitem(cli_mod._COMMANDS, "tradeoff", (record, text, flags))
+    assert main(["tradeoff", "--d", "4", "--p-grid", "0.5"]) == 0
+    assert main(["tradeoff"]) == 0  # the first call's values do not carry over
+    assert cli_mod._build_parser.cache_info().currsize == 1
+    assert seen == [(4, "0.5"), (2, "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")]
+
+
 def test_unresolvably_small_p_exits_two(tmp_path, capsys):
     pure = Ensemble.uniform((DensityOperator.pure([1.0, 0.0]), DensityOperator.pure([1.0, 1.0])))
     path = tmp_path / "pure.json"

@@ -255,7 +255,24 @@ def test_max_relative_entropies_decompose_in_slices_of_sixteen(monkeypatch):
     monkeypatch.setattr(linalg_module, "eigh_stack", counted)
     monkeypatch.setattr(divergences_module, "eigh_stack", counted)
     assert max_relative_entropies(rhos, sigma) == want
-    assert calls == [(3, 3), (16, 3, 3), (2, 3, 3)]  # sigma, then ceil(18 / 16) slices
+    # sigma's spectrum was kept at its validation: ceil(18 / 16) slices only.
+    assert calls == [(16, 3, 3), (2, 3, 3)]
+    calls.clear()
+    # A raw-array sigma is decomposed once, before the slices.
+    assert max_relative_entropies(rhos, sigma.mat.copy()) == want
+    assert calls == [(3, 3), (16, 3, 3), (2, 3, 3)]
+
+
+def test_a_full_rank_reference_skips_the_support_check(monkeypatch):
+    states = [random_density(3, 3, seed=s) for s in range(4)]
+    want = max_relative_entropies(states, states[0])
+
+    def refuse(spec, r):
+        raise AssertionError("full-rank sigma contains every support")
+
+    monkeypatch.setattr(divergences_module, "_spectrum_contains", refuse)
+    assert max_relative_entropies(states, states[0]) == want
+    assert want[0] == 0.0 and all(math.isfinite(v) for v in want)
 
 
 def test_max_relative_entropies_reject_a_non_hermitian_raw_array():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qleak.linalg as linalg_module
 from qleak.divergences import ProbVector
 from qleak.errors import DimensionMismatch, EigenSolverError, ValidationError
 from qleak.linalg import (
@@ -244,3 +245,33 @@ def test_unitary_conjugation_preserves_spectrum():
     before = eig_hermitian(HermitianOperator(h)).eigenvalues
     after = eig_hermitian(HermitianOperator(u @ h @ u.conj().T)).eigenvalues
     assert np.allclose(before, after, atol=1e-9)
+
+
+def test_an_operator_keeps_its_read_only_spectrum():
+    h = HermitianOperator(_random_hermitian(4, seed=3))
+    spec = eig_hermitian(h)
+    assert eig_hermitian(h) is spec and h.spectrum is spec
+    for arr in (spec.eigenvalues, spec.eigenvectors):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # A raw array has nowhere to keep its spectrum.
+    assert eig_hermitian(h.mat) is not eig_hermitian(h.mat)
+
+
+def test_a_validated_state_is_never_decomposed_again(monkeypatch):
+    rho = random_density(4, 2, seed=5)
+    sigma = random_density(4, 4, seed=6)
+    calls = []
+    real = linalg_module.eigh_stack
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(linalg_module, "eigh_stack", counted)
+    assert eig_hermitian(rho) is rho.op.spectrum
+    von_neumann_entropy(rho)
+    operator_power(rho, 0.5)
+    assert support_contained(rho, sigma) and not support_contained(sigma, rho)
+    assert calls == []

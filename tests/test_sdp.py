@@ -181,6 +181,21 @@ def test_seeded_pool_decomposes_each_state_once(monkeypatch):
     assert all(op is state for op, state in zip(calls, states))
 
 
+def test_seeded_pool_reuses_the_validation_spectra(monkeypatch):
+    states = random_ensemble(3, 5, seed=4).states
+    calls = []
+    real = linalg.eigh_stack
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(linalg, "eigh_stack", counted)
+    monkeypatch.setattr(sdp, "eigh_stack", counted)
+    _seeded_pool(weights_program(states))
+    assert calls == []  # every state was decomposed when it was validated
+
+
 # When pairwise-difference eigenbases were seeded too, the pool held about
 # n^2 d cuts, past the cut cap, so these stopped as iteration_cap after one
 # LP with gaps of 0.64-0.89 bits; (32, 8, 7000) reported log2 n = 3 bits

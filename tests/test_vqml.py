@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import qleak.divergences as divergences_module
+import qleak.linalg as linalg_module
+import qleak.sdp as sdp_module
 import qleak.vqml as vqml_module
-from qleak.channels import depolarizing_global, identity_channel
+from qleak.channels import apply, depolarized_leakage, depolarizing_global, identity_channel
 from qleak.errors import DimensionMismatch, ValidationError
-from qleak.leakage import Povm
-from qleak.linalg import HermitianOperator
+from qleak.leakage import Ensemble, Povm
+from qleak.linalg import DensityOperator, HermitianOperator
 from qleak.vqml import (
     AngleEncoding,
     BasisEncoding,
@@ -195,9 +198,9 @@ def test_tradeoff_rejects_bad_grid(monkeypatch):
     solved = []
     real = vqml_module.depolarized_leakage
 
-    def counted(e, p):
+    def counted(e, p, *noisy):
         solved.append(p)
-        return real(e, p)
+        return real(e, p, *noisy)
 
     monkeypatch.setattr(vqml_module, "depolarized_leakage", counted)
     with pytest.raises(ValidationError):
@@ -207,6 +210,68 @@ def test_tradeoff_rejects_bad_grid(monkeypatch):
     with pytest.raises(ValidationError):
         tradeoff_curve(model, [[0.0]], [1.0], [0.3, 0.0])
     assert solved == []  # the whole grid is checked before the first solve
+
+
+def _unshared_row(model, inputs, prior, p):
+    """Degradation, B and R with every state built, noised and decomposed on its own."""
+    e = encode_ensemble(model, inputs, prior)
+    u = circuit_unitary(model)
+    rotated = tuple(DensityOperator.from_matrix(u @ s.mat @ u.conj().T) for s in e.states)
+    b, r, _ = depolarized_leakage(Ensemble(e.prior, rotated), p)
+    return performance_degradation(model, inputs, depolarizing_global(p, model.dim)), b, r
+
+
+def _assert_row_equals(row, model, inputs, prior):
+    gamma, b, r = _unshared_row(model, inputs, prior, row.p)
+    assert row.gamma_actual == gamma
+    assert (row.leakage_B, row.barycentric.gap, row.leakage_R) == (b.value, b.gap, r.value)
+    assert np.array_equal(row.barycentric.witness, b.witness)
+
+
+def test_tradeoff_decomposes_each_shared_state_once(monkeypatch):
+    model = VariationalModel(3, BasisEncoding(), (), basis_classifier(3))
+    inputs, prior = list(range(8)), [1 / 8] * 8
+    calls = []
+    real = linalg_module.eigh_stack
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return real(a)
+
+    for module in (linalg_module, divergences_module, sdp_module):
+        monkeypatch.setattr(module, "eigh_stack", counted)
+    (row,) = tradeoff_curve(model, inputs, prior, [0.3])
+    assert len(calls) <= 42  # 33 here; 74 when every reader decomposed its own copy
+    monkeypatch.undo()
+    _assert_row_equals(row, model, inputs, prior)
+
+
+@pytest.mark.parametrize(
+    "model, inputs, prior",
+    [
+        (random_model(2, layers=2, classes=2, seed=9), [0, 1, 3], [0.4, 0.3, 0.3]),
+        (_angle_model(layers=(np.array([0.4, 0.9]),)), [[math.pi / 3], [2 * math.pi / 3]],
+         [0.5, 0.5]),
+        (random_model(3, layers=2, seed=4), list(range(8)), [1 / 8] * 8),
+    ],
+)
+def test_tradeoff_rows_on_layered_models_equal_unshared_states(model, inputs, prior):
+    # A layered circuit's U rho U' differs from U V_x|0> in the last bits,
+    # so those states must not be shared.
+    for row in tradeoff_curve(model, inputs, prior, [0.1, 0.5, 0.9]):
+        _assert_row_equals(row, model, inputs, prior)
+
+
+def test_born_probabilities_equal_one_trace_per_element():
+    for seed in range(6):
+        model = random_model(1 + seed % 3, layers=1, classes=2 if seed % 2 else None, seed=seed)
+        rho = DensityOperator.pure(circuit_unitary(model)[:, seed % model.dim])
+        noisy = apply(depolarizing_global(0.3, model.dim), rho)
+        for state in (rho, noisy):
+            want = [float(np.einsum("ij,ji->", f.mat, state.mat).real)
+                    for f in model.classifier.elements]
+            got = vqml_module._born_probabilities(model, state).probs
+            assert got.tolist() == np.clip(want, 0.0, None).tolist()
 
 
 def test_basis_classifier_partitions_identity():
