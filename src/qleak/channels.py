@@ -101,9 +101,10 @@ class QuantumChannel:
 
 
 def _apply_matrix(ch: QuantumChannel, mat: np.ndarray) -> np.ndarray:
+    """The channel applied to a matrix, or to each matrix of a stack (..., d, d)."""
     if ch._action is not None:
         return ch._action(mat)
-    out = np.zeros((ch.out_dim, ch.out_dim), dtype=np.complex128)
+    out = np.zeros(mat.shape[:-2] + (ch.out_dim, ch.out_dim), dtype=np.complex128)
     for k in ch.kraus:
         out += k @ mat @ k.conj().T
     return out
@@ -111,16 +112,22 @@ def _apply_matrix(ch: QuantumChannel, mat: np.ndarray) -> np.ndarray:
 
 def apply(ch: QuantumChannel, rho: DensityOperator) -> DensityOperator:
     """Channel action: the factory's map, or sum_i K_i rho K_i'."""
-    if rho.dim != ch.in_dim:
+    return apply_states(ch, (rho,))[0]
+
+
+def apply_states(ch: QuantumChannel, states) -> tuple[DensityOperator, ...]:
+    """`apply` on every state, as one stack: one channel application and one validation."""
+    dims = {s.dim for s in states}
+    if dims - {ch.in_dim}:
         raise DimensionMismatch(
-            f"state dimension {rho.dim} does not fit channel input {ch.in_dim}"
+            f"state dimension {min(dims - {ch.in_dim})} does not fit channel input {ch.in_dim}"
         )
-    return DensityOperator.from_matrix(_apply_matrix(ch, rho.mat))
+    return DensityOperator.stack(_apply_matrix(ch, np.stack([s.mat for s in states])))
 
 
 def apply_ensemble(ch: QuantumChannel, e: Ensemble) -> Ensemble:
-    """Push every ensemble state through the channel; prior unchanged."""
-    return Ensemble(e.prior, tuple(apply(ch, s) for s in e.states))
+    """Push every ensemble state through the channel as one stack; prior unchanged."""
+    return Ensemble(e.prior, apply_states(ch, e.states))
 
 
 def identity_channel(dim: int) -> QuantumChannel:
@@ -159,22 +166,28 @@ def _qubitwise_kraus(p: float, k: int) -> list[np.ndarray]:
 
 
 def _depolarize(mat: np.ndarray, p: float) -> np.ndarray:
-    """(1-p) rho + p tr(rho) I/d."""
+    """(1-p) rho + p tr(rho) I/d, for each matrix of a stack (..., d, d)."""
+    d = mat.shape[-1]
     out = (1.0 - p) * mat
-    out[np.diag_indices(mat.shape[0])] += p * np.trace(mat) / mat.shape[0]
+    diag = np.arange(d)
+    out[..., diag, diag] += (p * np.trace(mat, axis1=-2, axis2=-1) / d)[..., None]
     return out
 
 
 def _depolarize_qubits(mat: np.ndarray, p: float, k: int) -> np.ndarray:
-    """rho -> (1-p) rho + p tr_q(rho) (x) I/2 for each qubit q; the k maps commute."""
-    t = mat.reshape((2,) * (2 * k))
+    """rho -> (1-p) rho + p tr_q(rho) (x) I/2 for each qubit q and each matrix of a stack.
+
+    The k maps commute.
+    """
+    t = mat.reshape(mat.shape[:-2] + (2,) * (2 * k))
     for q in range(k):
-        half = (0.5 * p) * np.trace(t, axis1=q, axis2=k + q)
+        row, col = q - 2 * k, q - k  # qubit q's row and column axes, from the end
+        half = (0.5 * p) * np.trace(t, axis1=row, axis2=col)
         t = (1.0 - p) * t
         for b in (0, 1):
             at = [slice(None)] * (2 * k)
             at[q] = at[k + q] = b
-            t[tuple(at)] += half
+            t[(..., *at)] += half
     return t.reshape(mat.shape)
 
 
@@ -347,7 +360,7 @@ def verify_dp_on_ensemble(ch: QuantumChannel, e: Ensemble, params: DpParams) -> 
             "delta > 0 has no max-divergence criterion; only (epsilon, 0) is checkable"
         )
     threshold = params.epsilon_nats / math.log(2.0)
-    outputs = [apply(ch, s) for s in e.states]
+    outputs = apply_states(ch, e.states)
     pairs = _neighbour_pairs(e, params.neighbouring)
     results = []
     worst = 0.0

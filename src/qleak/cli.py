@@ -64,13 +64,19 @@ def _matrix_to_json(mat: np.ndarray) -> list:
 
 
 def _matrix_from_json(rows, label: str) -> np.ndarray:
+    """The complex matrix whose entries are the [re, im] pairs of rows, in one conversion."""
     try:
-        return np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-            dtype=np.complex128,
-        )
-    except (TypeError, IndexError, ValueError) as ex:
+        parts = np.array(rows)
+    except ValueError as ex:  # ragged rows
         raise ValidationError(f"{label}: entries must be [re, im] pairs ({ex})") from ex
+    if parts.dtype.kind not in "biuf":
+        raise ValidationError(f"{label}: entries must be [re, im] pairs (a part is not a number)")
+    if parts.ndim != 3 or parts.shape[2] != 2:
+        raise ValidationError(
+            f"{label}: entries must be [re, im] pairs (got an array of shape {parts.shape})"
+        )
+    # The (re, im) float pairs are laid out as complex numbers.
+    return np.ascontiguousarray(parts, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 def _convert(value, kind, field: str, what: str = ""):
@@ -110,19 +116,16 @@ def parse_ensemble(doc: dict) -> Ensemble:
         if key not in doc:
             raise ValidationError(f"ensemble spec missing field '{key}'")
     dim = _convert(doc["dimension"], int, "dimension")
-    states = []
+    mats = []
     for i, rows in enumerate(_expect(doc["states"], list, "states")):
-        mat = _matrix_from_json(rows, f"states[{i}]")
-        if mat.shape != (dim, dim):
+        mats.append(_matrix_from_json(rows, f"states[{i}]"))
+        if mats[-1].shape != (dim, dim):
             raise ValidationError(
-                f"states[{i}] has shape {mat.shape}, expected ({dim}, {dim})"
+                f"states[{i}] has shape {mats[-1].shape}, expected ({dim}, {dim})"
             )
-        try:
-            states.append(DensityOperator.from_matrix(mat))
-        except ValidationError as ex:
-            raise ValidationError(f"states[{i}]: {ex}") from ex
+    states = DensityOperator.stack(mats, label="states") if mats else ()
     prior = _convert(doc["prior"], _float_array, "prior", "a list of numbers")
-    return Ensemble(ProbVector(prior), tuple(states))
+    return Ensemble(ProbVector(prior), states)
 
 
 def _channel_param(params: dict, name: str, kind):

@@ -23,6 +23,7 @@ from .linalg import (
     _as_matrix,
     _check_psd_spectrum,
     _hermitian_stack,
+    _power_stack,
     _spectrum_contains,
     _spectrum_power,
     eig_hermitian,
@@ -75,6 +76,32 @@ def _coerce_order(order) -> RenyiOrder:
     return RenyiOrder(float(order))
 
 
+def _prob_rows(rows) -> np.ndarray:
+    """rows (m, k) clipped at 0, once each row is a probability vector.
+
+    A failure raises the first bad row's error: its first non-finite entry,
+    negative entry beyond _PROB_ATOL or sum off 1 by more than _PROB_ATOL.
+    """
+    p = np.asarray(rows, dtype=np.float64)
+    if p.shape[-1] == 0:
+        raise ValidationError("empty probability vector")
+    total = p.sum(axis=-1)
+    # Sums within _PROB_ATOL of 1 are finite, so with no entry below
+    # -_PROB_ATOL every row passes at once.
+    if not (np.abs(total - 1.0).max() <= _PROB_ATOL and p.min() >= -_PROB_ATOL):
+        for row in p:
+            if not np.all(np.isfinite(row)):
+                raise ValidationError("probability vector has a non-finite entry")
+            if float(np.min(row)) < -_PROB_ATOL:
+                raise ValidationError(f"negative probability {float(np.min(row)):.3e}")
+            total = float(np.sum(row))
+            if abs(total - 1.0) > _PROB_ATOL:
+                raise ValidationError(f"probabilities sum to {total!r}, not 1")
+    p = np.clip(p, 0.0, None)
+    p.setflags(write=False)
+    return p
+
+
 @dataclass(frozen=True)
 class ProbVector:
     """A probability vector: nonnegative entries summing to one."""
@@ -82,19 +109,8 @@ class ProbVector:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=np.float64).reshape(-1)
-        if p.size == 0:
-            raise ValidationError("empty probability vector")
-        if not np.all(np.isfinite(p)):
-            raise ValidationError("probability vector has a non-finite entry")
-        if float(np.min(p)) < -_PROB_ATOL:
-            raise ValidationError(f"negative probability {float(np.min(p)):.3e}")
-        total = float(np.sum(p))
-        if abs(total - 1.0) > _PROB_ATOL:
-            raise ValidationError(f"probabilities sum to {total!r}, not 1")
-        p = np.clip(p, 0.0, None)
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
+        p = np.asarray(self.probs, dtype=np.float64).reshape(1, -1)
+        object.__setattr__(self, "probs", _prob_rows(p)[0])
 
     def __len__(self) -> int:
         return self.probs.size
@@ -110,11 +126,7 @@ class ConditionalKernel:
         k = np.asarray(self.rows, dtype=np.float64)
         if k.ndim != 2 or k.size == 0:
             raise ValidationError("kernel must be a nonempty 2-d array")
-        for row in k:
-            ProbVector(row)
-        k = np.clip(k, 0.0, None)
-        k.setflags(write=False)
-        object.__setattr__(self, "rows", k)
+        object.__setattr__(self, "rows", _prob_rows(k))
 
     @property
     def inputs(self) -> int:
@@ -282,51 +294,57 @@ def max_relative_entropies(rhos, sigma) -> list[float]:
     D_max is the order-infinity sandwiched divergence, log2 of the least mu
     with rho <= mu sigma: the log2 of the top eigenvalue of
     sigma^-1/2 rho sigma^-1/2, and math.inf when supp(rho) escapes
-    supp(sigma).  A sigma operator's kept spectrum is reused, and a
-    full-rank sigma contains every support.  A rho equal to sigma gets
-    exactly 0.0, which the eigenvalue route would miss by rounding.  The
-    remaining sandwiches are checked and decomposed as stacks of at most
-    _DMAX_STACK matrices.
+    supp(sigma).  Evaluated as the pairs (rho, sigma) of
+    `max_relative_entropy_pairs`.
     """
-    smat = _as_matrix(sigma)
-    spec = _psd_spectrum("second argument", _operator(sigma))
-    full_rank = not spec.kernel.shape[1]
-    root = _spectrum_power(spec, -0.5).mat
-    out = []
-    todo = []  # (position in out, rho) for each rho that needs its top eigenvalue
-    for rho in rhos:
-        rmat = _as_matrix(rho)
-        if rmat.shape != smat.shape:
-            raise DimensionMismatch(f"shapes {rmat.shape} and {smat.shape} differ")
-        if np.array_equal(rmat, smat):
-            out.append(0.0)
-        elif not full_rank and not _spectrum_contains(spec, rmat):
-            out.append(math.inf)
-        else:
-            todo.append((len(out), rmat))
-            out.append(math.nan)
-    for start in range(0, len(todo), _DMAX_STACK):
-        chunk = todo[start : start + _DMAX_STACK]
-        sandwiched = _hermitian_stack(root @ np.stack([rmat for _, rmat in chunk]) @ root)
-        for (k, _), top in zip(chunk, eigh_stack(sandwiched)[0][:, -1]):
-            out[k] = math.log2(top) if top > 0.0 else -math.inf
-    return out
+    rhos = list(rhos)
+    return max_relative_entropy_pairs([*rhos, sigma], [(i, len(rhos)) for i in range(len(rhos))])
 
 
 def max_relative_entropy_pairs(states, pairs) -> list[float]:
     """D_max(states[i] || states[j]) in bits for each pair (i, j), in pair order.
 
-    Pairs are grouped by their reference j, so each reference is decomposed
-    once by `max_relative_entropies`.
+    Each reference j is decomposed at most once (an operator's kept
+    spectrum is reused) and the roots sigma_j^-1/2 of all references are
+    formed as one stack.  A pair whose two matrices are equal gets exactly
+    0.0, which the eigenvalue route would miss by rounding, and one whose
+    rho escapes a rank-deficient sigma gets math.inf; a full-rank sigma
+    contains every support.  Each reference is compared with every state
+    as one stack, and the remaining sandwiches are formed, checked and
+    decomposed as stacks of at most _DMAX_STACK pairs.
     """
+    mats = [_as_matrix(s) for s in states]
     by_ref: dict[int, list[int]] = {}
-    for k, (_, j) in enumerate(pairs):
+    for k, (i, j) in enumerate(pairs):
+        if mats[i].shape != mats[j].shape:
+            raise DimensionMismatch(f"shapes {mats[i].shape} and {mats[j].shape} differ")
         by_ref.setdefault(j, []).append(k)
-    out = [0.0] * len(pairs)
-    for j, ks in by_ref.items():
-        values = max_relative_entropies([states[pairs[k][0]] for k in ks], states[j])
-        for k, v in zip(ks, values):
-            out[k] = v
+    if not pairs:
+        return []
+    specs = [_psd_spectrum("second argument", _operator(states[j])) for j in by_ref]
+    w = np.array([sp.eigenvalues for sp in specs])
+    roots = _hermitian_stack(_power_stack(w, np.array([sp.eigenvectors for sp in specs]), -0.5))
+    stack = np.array(mats)
+    out = [0.0] * len(pairs)  # a pair of equal matrices keeps its 0.0
+    todo = []  # (position in out, rho, root slot) for each pair that needs its top eigenvalue
+    for slot, (j, ks) in enumerate(by_ref.items()):
+        full_rank = not specs[slot].kernel.shape[1]
+        equal = (stack == stack[j]).all(axis=(1, 2)).tolist()
+        for k in ks:
+            i = pairs[k][0]
+            if equal[i]:
+                continue
+            if not full_rank and not _spectrum_contains(specs[slot], mats[i]):
+                out[k] = math.inf
+            else:
+                todo.append((k, i, slot))
+    for start in range(0, len(todo), _DMAX_STACK):
+        chunk = todo[start : start + _DMAX_STACK]
+        # One reference's root broadcasts; several are gathered pair by pair.
+        root = roots[[slot for _, _, slot in chunk]] if len(roots) > 1 else roots[0]
+        sandwiched = _hermitian_stack(root @ stack[[i for _, i, _ in chunk]] @ root)
+        for (k, _, _), top in zip(chunk, eigh_stack(sandwiched)[0][:, -1].tolist()):
+            out[k] = math.log2(top) if top > 0.0 else -math.inf
     return out
 
 

@@ -27,8 +27,7 @@ from .errors import ChainViolationError, DimensionMismatch, ValidationError
 from .linalg import (
     DensityOperator,
     HermitianOperator,
-    _check_psd_spectrum,
-    eig_hermitian,
+    _checked_stack,
     operator_power,
     random_unitary,
     von_neumann_entropy,
@@ -91,7 +90,11 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class Povm:
-    """A measurement: positive elements summing to the identity."""
+    """A measurement: positive elements summing to the identity.
+
+    The elements are checked PSD as one stack, and each keeps its slice of
+    the one certified decomposition unless it already holds a spectrum.
+    """
 
     elements: tuple[HermitianOperator, ...]
 
@@ -101,13 +104,12 @@ class Povm:
         if len(elements) == 0:
             raise ValidationError("POVM needs at least one element")
         dim = elements[0].dim
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for f in elements:
-            if f.dim != dim:
-                raise DimensionMismatch("POVM elements of mixed dimension")
-            _check_psd_spectrum(eig_hermitian(f).eigenvalues, "POVM element")
-            total += f.mat
-        if float(np.max(np.abs(total - np.eye(dim)))) > POVM_COMPLETENESS_ATOL:
+        if any(f.dim != dim for f in elements):
+            raise DimensionMismatch("POVM elements of mixed dimension")
+        _, w, v = _checked_stack(self.mats, "POVM element", False)
+        for f, wi, vi in zip(elements, w, v):
+            f._keep(wi, vi)
+        if float(np.max(np.abs(self.mats.sum(axis=0) - np.eye(dim)))) > POVM_COMPLETENESS_ATOL:
             raise ValidationError("POVM elements do not resolve the identity")
 
     @property

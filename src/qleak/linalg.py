@@ -8,7 +8,11 @@ goes through it for a single operator.  An operator is decomposed at most
 once: `HermitianOperator.spectrum` keeps its certified spectrum, read-only,
 on the frozen object, and a `DensityOperator`'s PSD check fills it, so
 every later reader of that operator's eigenbasis reuses it.  Raw arrays are
-decomposed afresh on every call.  Results are reproducible on one machine
+decomposed afresh on every call.  States are validated as stacks:
+`DensityOperator.stack` checks a whole (n, d, d) stack with one
+Hermiticity check, one trace reduction and one `eigh_stack` call, and gives
+each state its slice of the certified spectrum; a single state is a stack
+of one.  Results are reproducible on one machine
 and numpy build, but may differ in the last bits across LAPACK builds, and
 eigenvectors inside a degenerate eigenspace are whatever basis LAPACK picks.
 """
@@ -47,8 +51,7 @@ class HermitianOperator:
 
     def __post_init__(self) -> None:
         a = np.asarray(self.mat, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+        _check_square(a)
         a = _hermitian_stack(a)
         a.setflags(write=False)
         object.__setattr__(self, "mat", a)
@@ -66,22 +69,35 @@ class HermitianOperator:
         w, v = eigh_stack(self.mat)
         return Spectrum(eigenvalues=w, eigenvectors=v)
 
+    def _keep(self, w: np.ndarray, v: np.ndarray) -> None:
+        """Keep (w, v), certified by `eigh_stack`, as the spectrum unless one is kept already."""
+        if "spectrum" not in self.__dict__:
+            self.__dict__["spectrum"] = Spectrum(eigenvalues=w, eigenvectors=v)
+
+    @classmethod
+    def _kept(cls, mat: np.ndarray, w: np.ndarray, v: np.ndarray) -> "HermitianOperator":
+        """An operator on a symmetrised read-only matrix, keeping its certified spectrum."""
+        h = object.__new__(cls)
+        h.__dict__["mat"] = mat
+        h._keep(w, v)
+        return h
+
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """A positive semidefinite Hermitian operator with unit trace."""
+    """A positive semidefinite Hermitian operator with unit trace.
+
+    Constructing one validates it as a stack of one, through the routine
+    that `DensityOperator.stack` uses.
+    """
 
     op: HermitianOperator
 
     def __post_init__(self) -> None:
-        op = self.op
-        if not isinstance(op, HermitianOperator):
-            op = HermitianOperator(_as_matrix(op))
-            object.__setattr__(self, "op", op)
-        tr = op.trace()
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValidationError(f"trace {tr!r} is not 1 within {TRACE_ATOL}")
-        _check_psd_spectrum(eig_hermitian(op).eigenvalues, "matrix")
+        a = _as_matrix(self.op)
+        _check_square(a)
+        sym, w, v = _checked_stack(a[None], "matrix", True)
+        object.__setattr__(self, "op", HermitianOperator._kept(sym[0], w[0], v[0]))
 
     @property
     def mat(self) -> np.ndarray:
@@ -93,16 +109,44 @@ class DensityOperator:
 
     @staticmethod
     def from_matrix(mat) -> "DensityOperator":
-        return DensityOperator(HermitianOperator(_as_matrix(mat)))
+        return DensityOperator(mat)
+
+    @staticmethod
+    def stack(mats, label: str | None = None) -> tuple["DensityOperator", ...]:
+        """One state per matrix of a stack (n, d, d), validated and decomposed together.
+
+        Every matrix is symmetrised and checked to be finite and Hermitian,
+        of trace 1 within TRACE_ATOL and PSD within PSD_TOL, and each state
+        keeps its slice of the one certified decomposition.  A failure
+        raises the first bad matrix's error, prefixed `label[i]: ` when a
+        label is given.
+        """
+        a = np.asarray(mats, dtype=np.complex128)
+        if a.ndim != 3 or a.shape[1] != a.shape[2]:
+            raise DimensionMismatch(f"expected a stack of square matrices, got shape {a.shape}")
+        sym, w, v = _checked_stack(a, "matrix", True, label)
+        states = []
+        for m, wi, vi in zip(sym, w, v):
+            rho = object.__new__(DensityOperator)
+            object.__setattr__(rho, "op", HermitianOperator._kept(m, wi, vi))
+            states.append(rho)
+        return tuple(states)
 
     @staticmethod
     def pure(vec) -> "DensityOperator":
-        v = np.asarray(vec, dtype=np.complex128).reshape(-1)
-        nrm = float(np.linalg.norm(v))
-        if nrm == 0.0:
+        return DensityOperator.pure_stack(np.reshape(vec, (1, -1)))[0]
+
+    @staticmethod
+    def pure_stack(vecs) -> tuple["DensityOperator", ...]:
+        """The pure states |v><v| / <v|v> of the rows of vecs (n, d), validated as one stack."""
+        v = np.asarray(vecs, dtype=np.complex128)
+        re, im = v.real, v.imag
+        # Row by row the same sum as numpy.linalg.norm of each vector.
+        nrm = np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0])
+        if not np.all(nrm):
             raise ValidationError("cannot build a state from the zero vector")
         v = v / nrm
-        return DensityOperator.from_matrix(np.outer(v, v.conj()))
+        return DensityOperator.stack(v[:, :, None] * v.conj()[:, None, :])
 
     @staticmethod
     def maximally_mixed(dim: int) -> "DensityOperator":
@@ -201,6 +245,50 @@ def _check_psd_spectrum(w: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} is not PSD (min eigenvalue {w[0]:.3e})")
 
 
+def _check_square(a: np.ndarray) -> None:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+
+
+def _checked_stack(
+    a: np.ndarray, what: str, unit_trace: bool, label: str | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The symmetrised stack (n, d, d) and its certified spectra, read-only.
+
+    Every matrix must be finite and Hermitian (`_hermitian_stack`), of trace
+    1 within TRACE_ATOL when unit_trace, and PSD within PSD_TOL; one
+    `eigh_stack` call decomposes the stack.  On a failure the matrices are
+    checked one at a time, so the error raised is the first bad matrix's,
+    worded as for that matrix alone and prefixed `label[i]: ` when a label
+    is given.
+    """
+    try:
+        sym = _hermitian_stack(a)
+        if unit_trace and len(a):
+            tr = sym.trace(axis1=1, axis2=2).real
+            off = np.abs(tr - 1.0)
+            if off.max() > TRACE_ATOL:
+                bad = float(tr[off.argmax()])
+                raise ValidationError(f"trace {bad!r} is not 1 within {TRACE_ATOL}")
+        w, v = eigh_stack(sym)
+        # A least eigenvalue of at least -PSD_TOL clears every matrix at once.
+        if w.size and not w[:, 0].min() >= -PSD_TOL:
+            for wi in w:
+                _check_psd_spectrum(wi, what)
+    except ValidationError:
+        if len(a) == 1 and label is None:
+            raise
+        for i in range(len(a)):
+            try:
+                _checked_stack(a[i : i + 1], what, unit_trace)
+            except ValidationError as one:
+                raise (ValidationError(f"{label}[{i}]: {one}") if label else one) from None
+        raise
+    for arr in (sym, w, v):
+        arr.setflags(write=False)
+    return sym, w, v
+
+
 def operator_power(h, t: float) -> HermitianOperator:
     """Pseudo-power H^t of a PSD operator.
 
@@ -215,17 +303,20 @@ def operator_power(h, t: float) -> HermitianOperator:
 
 def _spectrum_power(spec: Spectrum, t: float) -> HermitianOperator:
     """`operator_power` on an already decomposed, PSD-checked operator."""
-    w = spec.eigenvalues
-    wmax = float(np.max(w)) if w.size else 0.0
-    cut = SUPPORT_RTOL * wmax
+    return HermitianOperator(_power_stack(spec.eigenvalues, spec.eigenvectors, t))
+
+
+def _power_stack(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """Unsymmetrised pseudo-powers V diag(w^t) V' of PSD-checked spectra w, v.
+
+    w is (..., d) and v (..., d, d).  Eigenvalues at or below SUPPORT_RTOL
+    times their matrix's largest map to zero.
+    """
+    wmax = w.max(axis=-1, keepdims=True, initial=0.0)
+    on = w > SUPPORT_RTOL * wmax
     powered = np.zeros_like(w)
-    on = w > cut
-    if t == 0.0:
-        powered[on] = 1.0
-    else:
-        powered[on] = np.power(w[on], t)
-    v = spec.eigenvectors
-    return HermitianOperator((v * powered) @ v.conj().T)
+    powered[on] = 1.0 if t == 0.0 else np.power(w[on], t)
+    return (v * powered[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def support_contained(rho, sigma) -> bool:

@@ -85,6 +85,19 @@ class LmiProgram:
         """The constraint states as one (n, d, d) stack."""
         return np.stack([s.mat for s in self.states])
 
+    @cached_property
+    def _repair_rate(self) -> float:
+        """mu, the least eigenvalue of the sum of the states on its support (1.0 if none).
+
+        Adding eps to every weight adds eps * (sum of states), so mu bounds
+        the rate at which that repairs an LMI; kernel directions are
+        annihilated by every state, so no violation can live there.
+        """
+        total = eig_hermitian(HermitianOperator(sum(s.mat for s in self.states)))
+        ev = total.eigenvalues
+        support = ev > 1e-9 * max(float(ev[-1]), 0.0)
+        return float(ev[support][0]) if bool(np.any(support)) else 1.0
+
 
 def weights_program(states) -> LmiProgram:
     return LmiProgram(states=tuple(states), form=FORM_WEIGHTS)
@@ -145,7 +158,12 @@ def violation_certificate(program: LmiProgram, point):
 
 
 class _CutPool:
-    """Accumulated cuts with cached LP data for one weights program."""
+    """Accumulated cuts with cached LP data for one weights program.
+
+    A whole eigenbasis is cut at once: one batched product gives every
+    column's quadratic forms against the states stack, and one rounding
+    gives the bytes that key every column's cut.
+    """
 
     def __init__(self, program: LmiProgram):
         self.stack = program.mats
@@ -162,9 +180,12 @@ class _CutPool:
         """
         # forms[k, x] = v_k' rho_x v_k for every column and every state.
         forms = np.einsum("xkj,jk->kx", basis.conj().T @ self.stack, basis).real
+        # Row k of the rounded forms keys its cut; -0.0 and 0.0 stay distinct.
+        keys = np.round(forms, 9).tobytes()
+        width = forms.shape[1] * forms.itemsize
         added = 0
-        for row in forms:
-            key = (idx, np.round(row, 9).tobytes())
+        for k, row in enumerate(forms):
+            key = (idx, keys[k * width : (k + 1) * width])
             if key in self._seen:
                 continue
             self._seen.add(key)
@@ -232,14 +253,7 @@ def _certify_point(program: LmiProgram, point, obj: float, worst: float | None =
     if worst >= 0.0:
         return obj, point
     lift = -worst + _LIFT_PAD
-    # Adding eps to every weight adds eps * (sum of states), whose smallest
-    # support eigenvalue mu bounds the repair rate; kernel directions are
-    # annihilated by every state, so no violation can live there.
-    total = eig_hermitian(HermitianOperator(sum(s.mat for s in program.states)))
-    ev = total.eigenvalues
-    support = ev > 1e-9 * max(float(ev[-1]), 0.0)
-    mu = float(ev[support][0]) if bool(np.any(support)) else 1.0
-    c = np.asarray(point, dtype=np.float64) + lift / mu
+    c = np.asarray(point, dtype=np.float64) + lift / program._repair_rate
     return float(np.sum(c)), c
 
 

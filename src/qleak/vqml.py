@@ -15,11 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QuantumChannel, apply, depolarized_leakage, depolarizing_global
-from .divergences import ProbVector
+from .channels import (
+    QuantumChannel,
+    apply,
+    apply_states,
+    depolarized_leakage,
+    depolarizing_global,
+)
+from .divergences import ProbVector, _prob_rows
 from .errors import ChainViolationError, DimensionMismatch, ValidationError
 from .leakage import Ensemble, LeakageCertificate, Povm
-from .linalg import DensityOperator, HermitianOperator
+from .linalg import DensityOperator, HermitianOperator, _hermitian_stack
 
 MAX_QUBITS = 6
 _UNITARY_ATOL = 1e-9
@@ -149,14 +155,19 @@ def _encode_state(model: VariationalModel, x) -> np.ndarray:
     return vec
 
 
+def _encoded(model: VariationalModel, inputs) -> np.ndarray:
+    """The encoded vectors V_x|0...0> as rows (n, d)."""
+    vecs = [_encode_state(model, x) for x in inputs]
+    return np.array(vecs, dtype=np.complex128).reshape(len(vecs), model.dim)
+
+
 def encode_ensemble(model: VariationalModel, inputs, prior) -> Ensemble:
     """The pure-state ensemble {V_x|0...0>} with the given prior."""
     if not isinstance(prior, ProbVector):
         prior = ProbVector(np.asarray(prior, dtype=np.float64))
     if len(prior) != len(inputs):
         raise ValidationError(f"{len(inputs)} inputs with {len(prior)} prior weights")
-    states = tuple(DensityOperator.pure(_encode_state(model, x)) for x in inputs)
-    return Ensemble(prior, states)
+    return Ensemble(prior, DensityOperator.pure_stack(_encoded(model, inputs)))
 
 
 def _born_probabilities(model: VariationalModel, rho: DensityOperator) -> ProbVector:
@@ -175,19 +186,25 @@ def classify_probabilities(
 
 
 def _worst_shift(model: VariationalModel, clean, noisy) -> float:
-    """Worst total-variation shift of the class distribution between paired states."""
-    worst = 0.0
-    for rho, sigma in zip(clean, noisy):
-        shift = _born_probabilities(model, rho).probs - _born_probabilities(model, sigma).probs
-        worst = max(worst, float(np.sum(np.abs(shift))))
-    return worst
+    """Worst total-variation shift of the class distribution between paired states.
+
+    Each Born distribution is `_born_probabilities`' einsum; a stacked einsum
+    would change their last bits.  They are checked as one stack.
+    """
+    mats = model.classifier.mats
+    born = [np.einsum("kij,ji->k", mats, rho.mat).real for rho in (*clean, *noisy)]
+    probs = _prob_rows(np.clip(born, 0.0, None))
+    shifts = np.abs(probs[: len(clean)] - probs[len(clean) :]).sum(axis=1)
+    return float(np.max(shifts, initial=0.0))
 
 
 def performance_degradation(model: VariationalModel, inputs, channel: QuantumChannel) -> float:
     """Worst total-variation shift of the class distribution over the inputs."""
+    if not len(inputs):
+        return 0.0
     u = circuit_unitary(model)
-    clean = [DensityOperator.pure(u @ _encode_state(model, x)) for x in inputs]
-    return _worst_shift(model, clean, [apply(channel, rho) for rho in clean])
+    clean = DensityOperator.pure_stack((u @ _encoded(model, inputs)[:, :, None])[:, :, 0])
+    return _worst_shift(model, clean, apply_states(channel, clean))
 
 
 @dataclass(frozen=True)
@@ -215,31 +232,39 @@ def tradeoff_curve(model: VariationalModel, inputs, prior, p_grid) -> list[Trade
     vector's bytes unchanged, and the intercepted state U rho_x U' is that
     output where their bytes agree.  Every reader of a shared state, and of
     its noisy state at each p, then reuses one object and its one
-    decomposition.
+    decomposition.  The encoded, clean, intercepted and noisy states are
+    each built and validated as one stack.
     """
     grid = [float(p) for p in p_grid]
     for p in grid:
         if not 0.0 < p <= 1.0:
             raise ValidationError(f"depolarizing grid point {p} outside (0, 1]")
     e = encode_ensemble(model, inputs, prior)
+    n = e.count
     u = circuit_unitary(model)
-    clean, rotated = [], []
-    for x, s in zip(inputs, e.states):
-        v = _encode_state(model, x)
-        uv = u @ v
-        clean.append(s if uv.tobytes() == v.tobytes() else DensityOperator.pure(uv))
-        op = HermitianOperator(u @ s.mat @ u.conj().T)
-        same = op.mat.tobytes() == clean[-1].mat.tobytes()
-        rotated.append(clean[-1] if same else DensityOperator(op))
+    vecs = _encoded(model, inputs)
+    uvs = (u @ vecs[:, :, None])[:, :, 0]
+    clean = list(e.states)
+    moved = [k for k in range(n) if uvs[k].tobytes() != vecs[k].tobytes()]
+    if moved:
+        for k, rho in zip(moved, DensityOperator.pure_stack(uvs[moved])):
+            clean[k] = rho
+    turned = _hermitian_stack(u @ np.stack([s.mat for s in e.states]) @ u.conj().T)
+    rotated = list(clean)
+    unshared = [k for k in range(n) if turned[k].tobytes() != clean[k].mat.tobytes()]
+    if unshared:
+        for k, rho in zip(unshared, DensityOperator.stack(turned[unshared])):
+            rotated[k] = rho
     intercepted = Ensemble(e.prior, tuple(rotated))
     rows = []
     for p in grid:
+        # The clean states and the unshared intercepted ones, noised as one stack.
         ch = depolarizing_global(p, model.dim)
-        noisy_clean = [apply(ch, rho) for rho in clean]
-        noisy = tuple(
-            n if r is c else apply(ch, r) for c, n, r in zip(clean, noisy_clean, rotated)
-        )
-        gamma = _worst_shift(model, clean, noisy_clean)
+        out = apply_states(ch, clean + [rotated[k] for k in unshared])
+        noisy = list(out[:n])
+        for k, rho in zip(unshared, out[n:]):
+            noisy[k] = rho
+        gamma = _worst_shift(model, clean, out[:n])
         gamma_bound = 2.0 * p
         if gamma > gamma_bound + 1e-9:
             raise ChainViolationError(

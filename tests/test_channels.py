@@ -305,3 +305,43 @@ def test_channel_composition_only_reduces_leakage():
 
     assert pairwise_leakage(twice).value <= pairwise_leakage(once).value + 1e-7
     assert pairwise_leakage(once).value <= pairwise_leakage(e).value + 1e-7
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [random_channel(4, seed=2), depolarizing_global(0.3, 4), depolarizing_local(0.45, 2)],
+    ids=["kraus", "global", "local"],
+)
+def test_apply_ensemble_equals_apply_state_by_state(channel):
+    for count in (1, 3, 7):
+        e = random_ensemble(4, count, seed=30 + count)
+        out = apply_ensemble(channel, e)
+        for rho, sigma in zip(e.states, out.states):
+            alone = apply(channel, rho)
+            assert sigma.mat.tobytes() == alone.mat.tobytes()
+            a, b = sigma.op.spectrum, alone.op.spectrum
+            assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+            assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
+
+
+def test_dp_check_decomposes_outputs_and_sandwiches_as_stacks(monkeypatch):
+    import qleak.divergences as divergences_module
+    import qleak.linalg as linalg_module
+
+    e = random_ensemble(8, 4, seed=12)
+    ch = depolarizing_global(0.4, 8)
+    params = DpParams(epsilon_nats=dp_epsilon_bound_depolarizing(0.4, 8))
+    want = verify_dp_on_ensemble(ch, e, params)
+    calls = []
+    real = linalg_module.eigh_stack
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(linalg_module, "eigh_stack", counted)
+    monkeypatch.setattr(divergences_module, "eigh_stack", counted)
+    assert verify_dp_on_ensemble(ch, e, params) == want
+    # One validation of the four outputs, then the twelve sandwiches in one call;
+    # each output's kept spectrum serves as its reference.
+    assert calls == [(4, 8, 8), (12, 8, 8)]

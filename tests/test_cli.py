@@ -489,3 +489,58 @@ def test_grid_iteration_cap_exits_three(tmp_path, monkeypatch, capsys, command):
         r"1 iterations",
         line,
     )
+
+
+def test_parse_ensemble_names_the_first_bad_state():
+    doc = _pair_doc()
+    doc["states"].append([[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]])
+    doc["prior"] = [0.25, 0.25, 0.5]
+    doc["states"][2][0][1] = [0.3, 0.0]  # not Hermitian
+    doc["states"][1] = [[[1.2, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.2, 0.0]]]  # not PSD
+    with pytest.raises(ValidationError) as ex:
+        parse_ensemble(doc)
+    assert str(ex.value) == "states[1]: matrix is not PSD (min eigenvalue -2.000e-01)"
+
+
+def _kraus_doc(entry):
+    doc = _dp_doc()
+    doc["channel"] = {"kind": "kraus", "params": {"kraus": [[[entry, [0, 0]], [[0, 0], [1, 0]]]]}}
+    return doc
+
+
+def _povm_doc(entry):
+    return {"qubits": 1, "encoder": "basis",
+            "povm": [[[entry, [0, 0]], [[0, 0], [1, 0]]], [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]]}
+
+
+def _state_doc(entry):
+    doc = _pair_doc()
+    doc["states"][0][0][0] = entry
+    return doc
+
+
+@pytest.mark.parametrize(
+    "entry", [[1, 0, 5], [0.75, 0, "x"], ["0.75", 0], [0.75], [0.75, None]],
+    ids=["extra-number", "extra-string", "string-part", "short", "null-part"],
+)
+@pytest.mark.parametrize(
+    "command, make, field",
+    [("leakage", _state_doc, "states[0]"), ("dp-check", _kraus_doc, "kraus[0]"),
+     ("tradeoff", _povm_doc, "povm[0]")],
+    ids=["states", "kraus", "povm"],
+)
+def test_matrix_entries_must_be_exact_pairs(tmp_path, capsys, command, make, field, entry):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(make(entry)))
+    assert main([command, "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: entries must be [re, im] pairs")
+
+
+def test_ragged_matrix_rows_exit_two(tmp_path, capsys):
+    doc = _pair_doc()
+    doc["states"][0][1] = [[0.25, 0.0]]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["leakage", "--input", str(path)]) == 2
+    assert "states[0]: entries must be [re, im] pairs" in capsys.readouterr().err

@@ -287,16 +287,35 @@ def test_max_relative_entropy_pairs_decompose_each_reference_once(monkeypatch):
     states = [random_density(3, 3, seed=s) for s in range(3)] + [random_density(3, 1, seed=9)]
     pairs = [(1, 0), (3, 2), (0, 1), (2, 0), (2, 2), (0, 3)]
     want = [sandwiched_renyi(states[i], states[j], ORDER_INF) for i, j in pairs]
-    references = []
-    real = divergences_module.max_relative_entropies
+    references, calls = [], []
+    real_spectrum, real_eigh = divergences_module._psd_spectrum, linalg_module.eigh_stack
 
-    def counted(rhos, sigma):
-        references.append(sigma)
-        return real(rhos, sigma)
+    def read(name, h):
+        references.append(h)
+        return real_spectrum(name, h)
 
-    monkeypatch.setattr(divergences_module, "max_relative_entropies", counted)
+    def counted(a):
+        calls.append(np.shape(a))
+        return real_eigh(a)
+
+    monkeypatch.setattr(divergences_module, "_psd_spectrum", read)
+    monkeypatch.setattr(linalg_module, "eigh_stack", counted)
+    monkeypatch.setattr(divergences_module, "eigh_stack", counted)
     assert max_relative_entropy_pairs(states, pairs) == want
     assert want[4] == 0.0 and want[5] == math.inf
-    assert len(references) == 4  # references 0, 2, 1, 3 in order of first use
+    # References 0, 2, 1, 3 in order of first use, each read once from its kept
+    # spectrum; the four sandwiches left after the 0 and inf pairs share one call.
+    assert len(references) == 4
     assert all(r is states[j] for r, j in zip(references, (0, 2, 1, 3)))
+    assert calls == [(4, 3, 3)]
     assert max_relative_entropy_pairs(states, []) == []
+    # 30 ordered pairs of full-rank states: one call per 16 sandwiches.
+    full = [random_density(3, 3, seed=20 + s) for s in range(6)]
+    every = [(i, j) for i in range(6) for j in range(6) if i != j]
+    want = [sandwiched_renyi(full[i], full[j], ORDER_INF) for i, j in every]
+    references.clear()
+    calls.clear()
+    assert max_relative_entropy_pairs(full, every) == want
+    assert len(references) == 6
+    assert all(r is full[j] for r, j in zip(references, (1, 2, 3, 4, 5, 0)))
+    assert calls == [(16, 3, 3), (14, 3, 3)]

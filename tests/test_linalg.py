@@ -275,3 +275,108 @@ def test_a_validated_state_is_never_decomposed_again(monkeypatch):
     operator_power(rho, 0.5)
     assert support_contained(rho, sigma) and not support_contained(sigma, rho)
     assert calls == []
+
+
+def _state_mats(dim, count, seed):
+    """count density matrices of mixed rank, drawn as random_density draws them."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(count):
+        rank = int(rng.integers(1, dim + 1))
+        g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        rho = g @ g.conj().T
+        mats.append(rho / np.trace(rho).real)
+    return np.stack(mats)
+
+
+def _assert_same_state(a, b):
+    assert a.mat.tobytes() == b.mat.tobytes()
+    sa, sb = eig_hermitian(a), eig_hermitian(b)
+    assert sa.eigenvalues.tobytes() == sb.eigenvalues.tobytes()
+    assert sa.eigenvectors.tobytes() == sb.eigenvectors.tobytes()
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_a_stack_of_states_equals_the_states_built_one_by_one(dim):
+    for count in (1, 2, 5, 16):
+        mats = _state_mats(dim, count, seed=100 * dim + count)
+        stacked = DensityOperator.stack(mats)
+        assert len(stacked) == count
+        for mat, state in zip(mats, stacked):
+            _assert_same_state(state, DensityOperator.from_matrix(mat))
+            # The kept spectrum is the one a fresh decomposition of the matrix gives.
+            w, v = np.linalg.eigh(state.mat)
+            assert eig_hermitian(state).eigenvalues.tobytes() == w.tobytes()
+            assert eig_hermitian(state).eigenvectors.tobytes() == v.tobytes()
+        vecs = mats[:, :, 0] * (1.0 + 0.5j)
+        for vec, state in zip(vecs, DensityOperator.pure_stack(vecs)):
+            _assert_same_state(state, DensityOperator.pure(vec))
+
+
+def test_a_stack_validates_with_one_eigensolver_call(monkeypatch):
+    calls = []
+    real = linalg_module.eigh_stack
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(linalg_module, "eigh_stack", counted)
+    states = DensityOperator.stack(_state_mats(4, 9, seed=3))
+    for s in states:
+        von_neumann_entropy(s)
+        operator_power(s, 0.5)
+    assert calls == [(9, 4, 4)]
+    DensityOperator.from_matrix(states[0].mat)  # a single state is a stack of one
+    assert calls[1:] == [(1, 4, 4)]
+
+
+def _bad_member(kind, dim):
+    rho = np.eye(dim, dtype=np.complex128) / dim
+    if kind == "non-finite":
+        rho[0, 1] = rho[1, 0] = math.nan
+    elif kind == "non-Hermitian":
+        rho[0, 1] = 0.25
+    elif kind == "trace":
+        rho = rho * 1.5
+    else:
+        rho = np.diag([1.2, -0.2] + [0.0] * (dim - 2)).astype(np.complex128)
+    return rho
+
+
+@pytest.mark.parametrize("kind", ["non-finite", "non-Hermitian", "trace", "PSD"])
+def test_a_bad_stack_member_raises_its_own_message(kind):
+    good = _state_mats(3, 4, seed=8)
+    bad = _bad_member(kind, 3)
+    with pytest.raises(ValidationError) as alone:
+        DensityOperator.from_matrix(bad)
+    wording = {
+        "non-finite": "matrix has a non-finite entry",
+        "non-Hermitian": "matrix is not Hermitian (asymmetry 2.500e-01)",
+        "trace": "trace 1.5 is not 1 within 1e-10",
+        "PSD": "matrix is not PSD (min eigenvalue -2.000e-01)",
+    }[kind]
+    assert str(alone.value) == wording
+    # A later member of another bad kind does not hide the first bad one.
+    later = _bad_member("PSD" if kind != "PSD" else "trace", 3)
+    with pytest.raises(ValidationError) as stacked:
+        DensityOperator.stack(np.stack([good[0], good[1], bad, good[2], later]))
+    assert str(stacked.value) == wording
+    with pytest.raises(ValidationError) as labelled:
+        DensityOperator.stack(np.stack([good[0], bad, later]), label="states")
+    assert str(labelled.value) == f"states[1]: {wording}"
+
+
+def test_povm_elements_keep_the_spectra_they_get_alone():
+    from qleak.leakage import Povm
+
+    for dim in range(2, 9):
+        frame = random_unitary(dim, seed=dim)
+        mats = [np.outer(frame[:, y], frame[:, y].conj()) for y in range(dim)]
+        povm = Povm(tuple(HermitianOperator(m) for m in mats))
+        for f, m in zip(povm.elements, mats):
+            alone = HermitianOperator(m).spectrum  # decomposed on its own
+            assert f.spectrum.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+            assert f.spectrum.eigenvectors.tobytes() == alone.eigenvectors.tobytes()
+    with pytest.raises(ValidationError, match="^POVM element is not PSD"):
+        Povm((HermitianOperator(np.diag([1.2, 1.0])), HermitianOperator(np.diag([-0.2, 0.0]))))

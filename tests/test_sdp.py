@@ -315,9 +315,20 @@ def test_stacked_eigensolver_certifies_every_matrix(monkeypatch):
             v[-1] = v[-1][:, ::-1]
         return w, v
 
-    monkeypatch.setattr(linalg.np.linalg, "eigh", corrupt_stacks)
+    # States are validated as stacks too, so they are built before the corruption.
     e = random_ensemble(3, 3, seed=5)
+    monkeypatch.setattr(linalg.np.linalg, "eigh", corrupt_stacks)
     with pytest.raises(EigenSolverError):
         eigh_stack(np.stack([s.mat for s in e.states]))
     with pytest.raises(EigenSolverError):
         solve(dominating_program(e.states))
+
+
+def test_cut_rows_that_differ_only_by_a_signed_zero_stay_two_cuts():
+    pool = sdp._CutPool(sdp.weights_program(random_ensemble(2, 2, seed=1).states))
+    # Forms against these stand-in states round to [0.5, -0.0] and [0.5, 0.0].
+    pool.stack = np.array([np.eye(2) / 2, np.diag([-1e-12, 1e-12])], dtype=np.complex128)
+    assert pool.add(np.eye(2, dtype=np.complex128), 0) == 2
+    assert [np.signbit(row[1]) for row in np.round(pool.rows, 9)] == [True, False]
+    assert pool.add(np.eye(2, dtype=np.complex128), 0) == 0  # the same rows again
+    assert pool.add(np.eye(2, dtype=np.complex128), 1) == 2  # keyed per state

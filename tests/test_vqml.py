@@ -228,9 +228,10 @@ def _assert_row_equals(row, model, inputs, prior):
     assert np.array_equal(row.barycentric.witness, b.witness)
 
 
-def test_tradeoff_decomposes_each_shared_state_once(monkeypatch):
-    model = VariationalModel(3, BasisEncoding(), (), basis_classifier(3))
-    inputs, prior = list(range(8)), [1 / 8] * 8
+def _assert_tradeoff_decompositions(monkeypatch, qubits, want):
+    model = VariationalModel(qubits, BasisEncoding(), (), basis_classifier(qubits))
+    d = model.dim
+    inputs, prior = list(range(d)), [1 / d] * d
     calls = []
     real = linalg_module.eigh_stack
 
@@ -241,9 +242,22 @@ def test_tradeoff_decomposes_each_shared_state_once(monkeypatch):
     for module in (linalg_module, divergences_module, sdp_module):
         monkeypatch.setattr(module, "eigh_stack", counted)
     (row,) = tradeoff_curve(model, inputs, prior, [0.3])
-    assert len(calls) <= 42  # 33 here; 74 when every reader decomposed its own copy
+    # The encoded and the noisy states are each one stack, B scans its LMIs
+    # once and R's d(d-1) sandwiches go 16 to a call; at d = 16 B also lifts
+    # its point once.  One decomposition per state and per sandwich took
+    # 25 calls at d = 8 and 50 at d = 16.
+    assert len(calls) == want
+    assert calls[:2] == [(d, d, d)] * 2
     monkeypatch.undo()
     _assert_row_equals(row, model, inputs, prior)
+
+
+def test_tradeoff_decomposes_each_shared_state_once(monkeypatch):
+    _assert_tradeoff_decompositions(monkeypatch, 3, 7)
+
+
+def test_tradeoff_decomposes_each_shared_state_once_at_d16(monkeypatch):
+    _assert_tradeoff_decompositions(monkeypatch, 4, 19)
 
 
 @pytest.mark.parametrize(
