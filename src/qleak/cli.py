@@ -41,6 +41,7 @@ from .leakage import Ensemble, Povm, inequality_chain_report
 from .linalg import DensityOperator, HermitianOperator
 from .sdp import STATUS_SOLVED
 from .vqml import (
+    MAX_QUBITS,
     AngleEncoding,
     BasisEncoding,
     VariationalModel,
@@ -358,8 +359,8 @@ def _tradeoff_model(args) -> tuple[VariationalModel, list, np.ndarray]:
     if args.input:
         return parse_model(_load_json(args.input))
     d = args.d
-    if d < 2 or d & (d - 1):
-        raise ValidationError(f"--d must be a power of two >= 2, got {d}")
+    if not 2 <= d <= 2**MAX_QUBITS or d & (d - 1):
+        raise ValidationError(f"--d must be a power of two in 2..{2**MAX_QUBITS}, got {d}")
     qubits = d.bit_length() - 1
     model = VariationalModel(
         qubits=qubits,

@@ -15,17 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    QuantumChannel,
-    apply,
-    apply_states,
-    depolarized_leakage,
-    depolarizing_global,
-)
+from .channels import QuantumChannel, apply_states, depolarized_leakage, depolarizing_global
 from .divergences import ProbVector, _prob_rows
 from .errors import ChainViolationError, DimensionMismatch, ValidationError
 from .leakage import Ensemble, LeakageCertificate, Povm
-from .linalg import DensityOperator, HermitianOperator, _hermitian_stack
+from .linalg import DensityOperator, HermitianOperator
 
 MAX_QUBITS = 6
 _UNITARY_ATOL = 1e-9
@@ -161,13 +155,35 @@ def _encoded(model: VariationalModel, inputs) -> np.ndarray:
     return np.array(vecs, dtype=np.complex128).reshape(len(vecs), model.dim)
 
 
-def encode_ensemble(model: VariationalModel, inputs, prior) -> Ensemble:
-    """The pure-state ensemble {V_x|0...0>} with the given prior."""
+def _prior(prior, inputs) -> ProbVector:
+    """The prior as a ProbVector, once it holds one weight per input."""
     if not isinstance(prior, ProbVector):
         prior = ProbVector(np.asarray(prior, dtype=np.float64))
     if len(prior) != len(inputs):
         raise ValidationError(f"{len(inputs)} inputs with {len(prior)} prior weights")
+    return prior
+
+
+def encode_ensemble(model: VariationalModel, inputs, prior) -> Ensemble:
+    """The pure-state ensemble {V_x|0...0>} with the given prior."""
+    prior = _prior(prior, inputs)
     return Ensemble(prior, DensityOperator.pure_stack(_encoded(model, inputs)))
+
+
+def _circuit_outputs(model: VariationalModel, inputs) -> tuple[DensityOperator, ...]:
+    """The circuit outputs U V_x|0...0>, built and validated as one stack."""
+    u = circuit_unitary(model)
+    return DensityOperator.pure_stack((u @ _encoded(model, inputs)[:, :, None])[:, :, 0])
+
+
+def _noised(model: VariationalModel, channel: QuantumChannel, outputs):
+    """The channel applied to circuit outputs as one stack; it must map d to d."""
+    if (channel.in_dim, channel.out_dim) != (model.dim, model.dim):
+        raise DimensionMismatch(
+            f"channel maps dimension {channel.in_dim} to {channel.out_dim}, "
+            f"circuit acts on {model.dim}"
+        )
+    return apply_states(channel, outputs)
 
 
 def _born_probabilities(model: VariationalModel, rho: DensityOperator) -> ProbVector:
@@ -179,9 +195,9 @@ def classify_probabilities(
     model: VariationalModel, x, channel: QuantumChannel | None = None
 ) -> ProbVector:
     """Born-rule class probabilities, optionally after a noise channel."""
-    rho = DensityOperator.pure(circuit_unitary(model) @ _encode_state(model, x))
+    (rho,) = _circuit_outputs(model, [x])
     if channel is not None:
-        rho = apply(channel, rho)
+        (rho,) = _noised(model, channel, (rho,))
     return _born_probabilities(model, rho)
 
 
@@ -202,9 +218,8 @@ def performance_degradation(model: VariationalModel, inputs, channel: QuantumCha
     """Worst total-variation shift of the class distribution over the inputs."""
     if not len(inputs):
         return 0.0
-    u = circuit_unitary(model)
-    clean = DensityOperator.pure_stack((u @ _encoded(model, inputs)[:, :, None])[:, :, 0])
-    return _worst_shift(model, clean, apply_states(channel, clean))
+    clean = _circuit_outputs(model, inputs)
+    return _worst_shift(model, clean, _noised(model, channel, clean))
 
 
 @dataclass(frozen=True)
@@ -227,50 +242,28 @@ def tradeoff_curve(model: VariationalModel, inputs, prior, p_grid) -> list[Trade
     pairwise) of the noisy circuit outputs and evaluates the degradation
     exactly.  The leakage bound log2(1 + 2(1-p)d/p) must dominate both
     leakage columns and 2p must dominate the degradation; violations are
-    raised, not returned.  The degradation's clean output U V_x|0...0> is
-    the encoded state V_x|0...0> itself where the circuit leaves the
-    vector's bytes unchanged, and the intercepted state U rho_x U' is that
-    output where their bytes agree.  Every reader of a shared state, and of
-    its noisy state at each p, then reuses one object and its one
-    decomposition.  The encoded, clean, intercepted and noisy states are
-    each built and validated as one stack.
+    raised, not returned.  The intercepted ensemble is the circuit outputs
+    U V_x|0...0> under the prior, built and validated once as one stack;
+    at each p their noisy states are one more stack, which the degradation,
+    B and R all read.
     """
     grid = [float(p) for p in p_grid]
     for p in grid:
         if not 0.0 < p <= 1.0:
             raise ValidationError(f"depolarizing grid point {p} outside (0, 1]")
-    e = encode_ensemble(model, inputs, prior)
-    n = e.count
-    u = circuit_unitary(model)
-    vecs = _encoded(model, inputs)
-    uvs = (u @ vecs[:, :, None])[:, :, 0]
-    clean = list(e.states)
-    moved = [k for k in range(n) if uvs[k].tobytes() != vecs[k].tobytes()]
-    if moved:
-        for k, rho in zip(moved, DensityOperator.pure_stack(uvs[moved])):
-            clean[k] = rho
-    turned = _hermitian_stack(u @ np.stack([s.mat for s in e.states]) @ u.conj().T)
-    rotated = list(clean)
-    unshared = [k for k in range(n) if turned[k].tobytes() != clean[k].mat.tobytes()]
-    if unshared:
-        for k, rho in zip(unshared, DensityOperator.stack(turned[unshared])):
-            rotated[k] = rho
-    intercepted = Ensemble(e.prior, tuple(rotated))
+    prior = _prior(prior, inputs)
+    clean = _circuit_outputs(model, inputs)
+    intercepted = Ensemble(prior, clean)
     rows = []
     for p in grid:
-        # The clean states and the unshared intercepted ones, noised as one stack.
-        ch = depolarizing_global(p, model.dim)
-        out = apply_states(ch, clean + [rotated[k] for k in unshared])
-        noisy = list(out[:n])
-        for k, rho in zip(unshared, out[n:]):
-            noisy[k] = rho
-        gamma = _worst_shift(model, clean, out[:n])
+        noisy = _noised(model, depolarizing_global(p, model.dim), clean)
+        gamma = _worst_shift(model, clean, noisy)
         gamma_bound = 2.0 * p
         if gamma > gamma_bound + 1e-9:
             raise ChainViolationError(
                 f"degradation {gamma:.9f} exceeds 2p = {gamma_bound:.9f} at p = {p}"
             )
-        b_cert, r_cert, eps = depolarized_leakage(intercepted, p, Ensemble(e.prior, noisy))
+        b_cert, r_cert, eps = depolarized_leakage(intercepted, p, Ensemble(prior, noisy))
         rows.append(
             TradeoffRow(
                 p=p,

@@ -208,6 +208,10 @@ def test_validation_failures_exit_two(tmp_path, capsys):
     assert main(["sweep", "--p-grid", "abc"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    for d in ("128", "1"):
+        assert main(["tradeoff", "--d", d]) == 2
+        err = capsys.readouterr().err
+        assert f"error: --d must be a power of two in 2..64, got {d}" in err
     for argv in (["leakage", "--input", str(_write_pair(tmp_path)), "--seed", "-1"],
                  ["demo", "--seed", "-3"]):
         assert main(argv) == 2

@@ -9,7 +9,13 @@ import qleak.divergences as divergences_module
 import qleak.linalg as linalg_module
 import qleak.sdp as sdp_module
 import qleak.vqml as vqml_module
-from qleak.channels import apply, depolarized_leakage, depolarizing_global, identity_channel
+from qleak.channels import (
+    QuantumChannel,
+    apply,
+    depolarized_leakage,
+    depolarizing_global,
+    identity_channel,
+)
 from qleak.errors import DimensionMismatch, ValidationError
 from qleak.leakage import Ensemble, Povm
 from qleak.linalg import DensityOperator, HermitianOperator
@@ -86,6 +92,16 @@ def test_classify_checks_channel_dimension():
     model = _angle_model()
     with pytest.raises(DimensionMismatch):
         classify_probabilities(model, [0.0], depolarizing_global(0.5, 3))
+
+
+def test_channel_that_changes_dimension_is_a_dimension_mismatch():
+    # A 2 -> 4 isometry fits the circuit's input but not its classifier.
+    model = random_model(1)
+    widen = QuantumChannel((np.eye(4, 2, dtype=np.complex128),))
+    with pytest.raises(DimensionMismatch, match="dimension 2 to 4, circuit acts on 2"):
+        performance_degradation(model, [0, 1], widen)
+    with pytest.raises(DimensionMismatch, match="dimension 2 to 4, circuit acts on 2"):
+        classify_probabilities(model, 0, widen)
 
 
 def test_circuit_unitary_is_unitary_for_random_models():
@@ -213,11 +229,14 @@ def test_tradeoff_rejects_bad_grid(monkeypatch):
 
 
 def _unshared_row(model, inputs, prior, p):
-    """Degradation, B and R with every state built, noised and decomposed on its own."""
+    """Degradation, B and R with every state built, noised and decomposed on its own.
+
+    Each intercepted state is its own pure circuit output U V_x|0...0>.
+    """
     e = encode_ensemble(model, inputs, prior)
     u = circuit_unitary(model)
-    rotated = tuple(DensityOperator.from_matrix(u @ s.mat @ u.conj().T) for s in e.states)
-    b, r, _ = depolarized_leakage(Ensemble(e.prior, rotated), p)
+    outputs = tuple(DensityOperator.pure(u @ vqml_module._encode_state(model, x)) for x in inputs)
+    b, r, _ = depolarized_leakage(Ensemble(e.prior, outputs), p)
     return performance_degradation(model, inputs, depolarizing_global(p, model.dim)), b, r
 
 
@@ -242,7 +261,7 @@ def _assert_tradeoff_decompositions(monkeypatch, qubits, want):
     for module in (linalg_module, divergences_module, sdp_module):
         monkeypatch.setattr(module, "eigh_stack", counted)
     (row,) = tradeoff_curve(model, inputs, prior, [0.3])
-    # The encoded and the noisy states are each one stack, B scans its LMIs
+    # The circuit outputs and the noisy states are each one stack, B scans its LMIs
     # once and R's d(d-1) sandwiches go 16 to a call; at d = 16 B also lifts
     # its point once.  One decomposition per state and per sandwich took
     # 25 calls at d = 8 and 50 at d = 16.
@@ -260,7 +279,7 @@ def test_tradeoff_decomposes_each_shared_state_once_at_d16(monkeypatch):
     _assert_tradeoff_decompositions(monkeypatch, 4, 19)
 
 
-@pytest.mark.parametrize(
+_LAYERED = pytest.mark.parametrize(
     "model, inputs, prior",
     [
         (random_model(2, layers=2, classes=2, seed=9), [0, 1, 3], [0.4, 0.3, 0.3]),
@@ -269,11 +288,28 @@ def test_tradeoff_decomposes_each_shared_state_once_at_d16(monkeypatch):
         (random_model(3, layers=2, seed=4), list(range(8)), [1 / 8] * 8),
     ],
 )
+
+
+@_LAYERED
 def test_tradeoff_rows_on_layered_models_equal_unshared_states(model, inputs, prior):
-    # A layered circuit's U rho U' differs from U V_x|0> in the last bits,
-    # so those states must not be shared.
     for row in tradeoff_curve(model, inputs, prior, [0.1, 0.5, 0.9]):
         _assert_row_equals(row, model, inputs, prior)
+
+
+@_LAYERED
+def test_tradeoff_rows_agree_with_rotated_encoded_states(model, inputs, prior):
+    # U rho_x U' is the circuit output U V_x|0> up to the last bits, so B may
+    # move only within the two certified gaps and R by roundoff.
+    e = encode_ensemble(model, inputs, prior)
+    u = circuit_unitary(model)
+    rotated = Ensemble(e.prior, tuple(
+        DensityOperator.from_matrix(u @ s.mat @ u.conj().T) for s in e.states))
+    for row in tradeoff_curve(model, inputs, prior, [0.1, 0.5, 0.9]):
+        b, r, _ = depolarized_leakage(rotated, row.p)
+        gamma = performance_degradation(model, inputs, depolarizing_global(row.p, model.dim))
+        assert row.gamma_actual == gamma
+        assert abs(row.leakage_B - b.value) <= row.barycentric.gap + b.gap
+        assert abs(row.leakage_R - r.value) <= 1e-10
 
 
 def test_born_probabilities_equal_one_trace_per_element():
