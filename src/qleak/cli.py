@@ -33,7 +33,6 @@ from .errors import (
     DimensionMismatch,
     EigenSolverError,
     LpSolverError,
-    QleakError,
     UnsupportedModeError,
     ValidationError,
 )
@@ -81,8 +80,14 @@ def _matrix_from_json(rows, label: str) -> np.ndarray:
 
 
 def _convert(value, kind, field: str, what: str = ""):
-    """kind(value), or a ValidationError that names the field."""
+    """kind(value), or a ValidationError that names the field.
+
+    JSON booleans and strings are not numbers, so they are refused before
+    the conversion.
+    """
     try:
+        if isinstance(value, (bool, str)):
+            raise TypeError(f"a JSON {type(value).__name__}")
         if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError("fractional part")
         return kind(value)
@@ -100,7 +105,11 @@ def _expect(value, kind: type, field: str):
 
 
 def _float_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.float64)
+    """value as a float array, refused unless numpy reads it as numbers."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "iuf":
+        raise TypeError(f"an array of {a.dtype}")
+    return np.asarray(a, dtype=np.float64)
 
 
 def ensemble_to_json(e: Ensemble) -> dict:

@@ -6,9 +6,13 @@ Eigendecompositions come from LAPACK's Hermitian solver through
 checks each matrix by reconstructing it before returning; `eig_hermitian`
 goes through it for a single operator.  An operator is decomposed at most
 once: `HermitianOperator.spectrum` keeps its certified spectrum, read-only,
-on the frozen object, and a `DensityOperator`'s PSD check fills it, so
-every later reader of that operator's eigenbasis reuses it.  Raw arrays are
-decomposed afresh on every call.  States are validated as stacks:
+on the frozen object, so every later reader of that operator's eigenbasis
+reuses it.  Raw arrays are decomposed afresh on every call.  A
+`DensityOperator` is a `HermitianOperator` whose construction validates it
+(finite, Hermitian, unit trace, PSD) and keeps the spectrum that check
+computed.  One support rule, `Spectrum.support` (eigenvalues above
+SUPPORT_RTOL times the largest), decides every kernel, pseudo-power and
+support check.  States are validated as stacks:
 `DensityOperator.stack` checks a whole (n, d, d) stack with one
 Hermiticity check, one trace reduction and one `eigh_stack` call, and gives
 each state its slice of the certified spectrum; a single state is a stack
@@ -38,8 +42,6 @@ UNITARITY_ATOL = 1e-10
 def _as_matrix(value) -> np.ndarray:
     if isinstance(value, HermitianOperator):
         return value.mat
-    if isinstance(value, DensityOperator):
-        return value.mat
     return np.asarray(value, dtype=np.complex128)
 
 
@@ -59,9 +61,6 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def trace(self) -> float:
-        return float(np.trace(self.mat).real)
 
     @cached_property
     def spectrum(self) -> "Spectrum":
@@ -84,28 +83,19 @@ class HermitianOperator:
 
 
 @dataclass(frozen=True)
-class DensityOperator:
+class DensityOperator(HermitianOperator):
     """A positive semidefinite Hermitian operator with unit trace.
 
     Constructing one validates it as a stack of one, through the routine
-    that `DensityOperator.stack` uses.
+    that `DensityOperator.stack` uses, and keeps its certified spectrum.
     """
 
-    op: HermitianOperator
-
     def __post_init__(self) -> None:
-        a = _as_matrix(self.op)
+        a = _as_matrix(self.mat)
         _check_square(a)
         sym, w, v = _checked_stack(a[None], "matrix", True)
-        object.__setattr__(self, "op", HermitianOperator._kept(sym[0], w[0], v[0]))
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.op.mat
-
-    @property
-    def dim(self) -> int:
-        return self.op.dim
+        object.__setattr__(self, "mat", sym[0])
+        self._keep(w[0], v[0])
 
     @staticmethod
     def from_matrix(mat) -> "DensityOperator":
@@ -125,12 +115,7 @@ class DensityOperator:
         if a.ndim != 3 or a.shape[1] != a.shape[2]:
             raise DimensionMismatch(f"expected a stack of square matrices, got shape {a.shape}")
         sym, w, v = _checked_stack(a, "matrix", True, label)
-        states = []
-        for m, wi, vi in zip(sym, w, v):
-            rho = object.__new__(DensityOperator)
-            object.__setattr__(rho, "op", HermitianOperator._kept(m, wi, vi))
-            states.append(rho)
-        return tuple(states)
+        return tuple(DensityOperator._kept(m, wi, vi) for m, wi, vi in zip(sym, w, v))
 
     @staticmethod
     def pure(vec) -> "DensityOperator":
@@ -173,11 +158,25 @@ class Spectrum:
         return float(self.eigenvalues[0])
 
     @cached_property
+    def support(self) -> np.ndarray:
+        """Read-only mask of the eigenvalues in the support (`_support_mask`)."""
+        on = _support_mask(self.eigenvalues)
+        on.setflags(write=False)
+        return on
+
+    @cached_property
     def kernel(self) -> np.ndarray:
-        """Eigenvectors, as columns, whose eigenvalues are at most SUPPORT_RTOL of the top one."""
-        w = self.eigenvalues
-        wmax = float(np.max(w)) if w.size else 0.0
-        return self.eigenvectors[:, w <= SUPPORT_RTOL * max(wmax, 0.0)]
+        """Eigenvectors, as columns, outside the support."""
+        return self.eigenvectors[:, ~self.support]
+
+
+def _support_mask(w: np.ndarray) -> np.ndarray:
+    """The support rule: eigenvalues above SUPPORT_RTOL times their matrix's largest.
+
+    w is (..., d), ascending or not; a matrix with no positive eigenvalue has
+    an empty support.  Every support, kernel and pseudo-power decides here.
+    """
+    return w > SUPPORT_RTOL * w.max(axis=-1, keepdims=True, initial=0.0)
 
 
 def _hermitian_stack(a: np.ndarray) -> np.ndarray:
@@ -206,8 +205,6 @@ def eig_hermitian(h) -> Spectrum:
 
     An operator's kept spectrum is returned as it is; a raw array is decomposed.
     """
-    if isinstance(h, DensityOperator):
-        return h.op.spectrum
     if isinstance(h, HermitianOperator):
         return h.spectrum
     w, v = eigh_stack(_as_matrix(h))
@@ -243,6 +240,13 @@ def _check_psd_spectrum(w: np.ndarray, what: str) -> None:
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     if w.size and w[0] < -PSD_TOL * max(scale, 1.0):
         raise ValidationError(f"{what} is not PSD (min eigenvalue {w[0]:.3e})")
+
+
+def _psd_spectrum(what: str, h) -> Spectrum:
+    """`eig_hermitian(h)`, checked PSD within PSD_TOL; an error names h as `what`."""
+    spec = eig_hermitian(h)
+    _check_psd_spectrum(spec.eigenvalues, what)
+    return spec
 
 
 def _check_square(a: np.ndarray) -> None:
@@ -292,13 +296,11 @@ def _checked_stack(
 def operator_power(h, t: float) -> HermitianOperator:
     """Pseudo-power H^t of a PSD operator.
 
-    Eigenvalues at or below SUPPORT_RTOL times the largest are treated as an
+    Eigenvalues outside the support (`Spectrum.support`) are treated as an
     exact kernel: they map to zero for every exponent, so negative powers act
     as powers of the pseudo-inverse on the support.
     """
-    spec = eig_hermitian(h)
-    _check_psd_spectrum(spec.eigenvalues, "operator_power argument")
-    return _spectrum_power(spec, t)
+    return _spectrum_power(_psd_spectrum("operator_power argument", h), t)
 
 
 def _spectrum_power(spec: Spectrum, t: float) -> HermitianOperator:
@@ -309,11 +311,10 @@ def _spectrum_power(spec: Spectrum, t: float) -> HermitianOperator:
 def _power_stack(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     """Unsymmetrised pseudo-powers V diag(w^t) V' of PSD-checked spectra w, v.
 
-    w is (..., d) and v (..., d, d).  Eigenvalues at or below SUPPORT_RTOL
-    times their matrix's largest map to zero.
+    w is (..., d) and v (..., d, d).  Eigenvalues outside the support
+    (`_support_mask`) map to zero.
     """
-    wmax = w.max(axis=-1, keepdims=True, initial=0.0)
-    on = w > SUPPORT_RTOL * wmax
+    on = _support_mask(w)
     powered = np.zeros_like(w)
     powered[on] = 1.0 if t == 0.0 else np.power(w[on], t)
     return (v * powered[..., None, :]) @ v.conj().swapaxes(-1, -2)

@@ -94,9 +94,8 @@ class LmiProgram:
         annihilated by every state, so no violation can live there.
         """
         total = eig_hermitian(HermitianOperator(sum(s.mat for s in self.states)))
-        ev = total.eigenvalues
-        support = ev > 1e-9 * max(float(ev[-1]), 0.0)
-        return float(ev[support][0]) if bool(np.any(support)) else 1.0
+        on = total.eigenvalues[total.support]
+        return float(on[0]) if on.size else 1.0
 
 
 def weights_program(states) -> LmiProgram:

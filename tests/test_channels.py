@@ -319,7 +319,7 @@ def test_apply_ensemble_equals_apply_state_by_state(channel):
         for rho, sigma in zip(e.states, out.states):
             alone = apply(channel, rho)
             assert sigma.mat.tobytes() == alone.mat.tobytes()
-            a, b = sigma.op.spectrum, alone.op.spectrum
+            a, b = sigma.spectrum, alone.spectrum
             assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
             assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
 

@@ -291,13 +291,19 @@ def _dp_doc(params=None, dp=None):
         ("tradeoff", {"qubits": 1, "encoder": "basis", "inputs": [1.7]}, "inputs[0]"),
         ("tradeoff", {"qubits": 64, "encoder": "basis"}, "qubit count"),
         ("tradeoff", {"qubits": -1, "encoder": "basis"}, "qubit count"),
+        ("dp-check", _dp_doc(params={"p": True}), "params.p"),
+        ("dp-check", _dp_doc(dp={"epsilon_nats": True}), "epsilon_nats"),
+        ("dp-check", _dp_doc(params={"p": "0.5"}), "params.p"),
+        ("leakage", {**_pair_doc(), "dimension": "2"}, "dimension"),
+        ("leakage", {**_pair_doc(), "prior": ["0.5", "0.5"]}, "prior"),
     ],
     ids=["states-not-list", "dimension-not-int", "p-not-number", "epsilon-not-number",
          "pair-of-one", "channel-dimension-mismatch", "spec-not-object",
          "neighbouring-not-object", "qubits-not-int", "classes-not-int",
          "angle-input-not-number", "basis-input-not-int", "inputs-empty",
          "kraus-not-list", "qubits-fractional", "dimension-fractional",
-         "basis-input-fractional", "qubits-too-many", "qubits-negative"],
+         "basis-input-fractional", "qubits-too-many", "qubits-negative", "p-boolean",
+         "epsilon-boolean", "p-string", "dimension-string", "prior-strings"],
 )
 def test_malformed_spec_exits_two(tmp_path, command, doc, named):
     path = tmp_path / "spec.json"

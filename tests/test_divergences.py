@@ -72,6 +72,9 @@ def test_classical_renyi_support_and_identity():
     assert renyi_classical([0.5, 0.5], [0.5, 0.5], 3.0) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(DimensionMismatch):
         renyi_classical([1.0], [0.5, 0.5], 2.0)
+    for entry in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="^reference vector has a non-finite entry$"):
+            renyi_classical([0.5, 0.5], [entry, 0.5], 2.0)
 
 
 @settings(deadline=None, max_examples=60)

@@ -224,7 +224,7 @@ def test_von_neumann_entropy_known_values():
 
 def test_random_density_rank_and_determinism():
     rho = random_density(4, 2, seed=7)
-    w = eig_hermitian(rho.op).eigenvalues
+    w = eig_hermitian(rho).eigenvalues
     assert np.sum(w > 1e-9) == 2
     assert abs(float(np.sum(w)) - 1.0) < 1e-9
     again = random_density(4, 2, seed=7)
@@ -270,7 +270,7 @@ def test_a_validated_state_is_never_decomposed_again(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(linalg_module, "eigh_stack", counted)
-    assert eig_hermitian(rho) is rho.op.spectrum
+    assert eig_hermitian(rho) is rho.spectrum
     von_neumann_entropy(rho)
     operator_power(rho, 0.5)
     assert support_contained(rho, sigma) and not support_contained(sigma, rho)
@@ -380,3 +380,34 @@ def test_povm_elements_keep_the_spectra_they_get_alone():
             assert f.spectrum.eigenvectors.tobytes() == alone.eigenvectors.tobytes()
     with pytest.raises(ValidationError, match="^POVM element is not PSD"):
         Povm((HermitianOperator(np.diag([1.2, 1.0])), HermitianOperator(np.diag([-0.2, 0.0]))))
+
+
+def test_a_state_is_a_hermitian_operator_and_may_be_a_povm_element():
+    from qleak.leakage import Povm
+
+    states = DensityOperator.pure_stack(np.eye(3))
+    kept = [rho.spectrum for rho in states]
+    rho = states[0]
+    assert isinstance(rho, HermitianOperator) and not hasattr(rho, "op")
+    assert eig_hermitian(rho) is rho.spectrum
+    povm = Povm(states)
+    assert all(f.spectrum is spec for f, spec in zip(povm.elements, kept))
+
+
+def test_every_consumer_reads_one_support_rule():
+    from qleak.sdp import weights_program
+
+    # The threshold 1e-9 * top falls between the middle eigenvalue and the last.
+    rho = DensityOperator.from_matrix(np.diag([1.0 - 2.5e-9, 2e-9, 5e-10]))
+    spec = rho.spectrum
+    assert spec.eigenvalues[:2] == pytest.approx([5e-10, 2e-9], rel=1e-9)
+    last, middle = spec.eigenvectors[:, 0], spec.eigenvectors[:, 1]
+    assert spec.support.tolist() == [False, True, True]
+    assert spec.kernel.shape == (3, 1)
+    assert abs(spec.kernel[:, 0] @ last.conj()) == pytest.approx(1.0)
+    inverse = operator_power(rho, -1).mat
+    assert (middle.conj() @ inverse @ middle).real == pytest.approx(1 / 2e-9, rel=1e-9)
+    assert abs(last.conj() @ inverse @ last) <= 1e-6
+    assert support_contained(DensityOperator.pure(middle), rho)
+    assert not support_contained(DensityOperator.pure(last), rho)
+    assert weights_program([rho])._repair_rate == pytest.approx(2e-9, rel=1e-9)
