@@ -45,7 +45,7 @@ def _as_matrix(value) -> np.ndarray:
     return np.asarray(value, dtype=np.complex128)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A complex Hermitian matrix, symmetrised and frozen on construction."""
 
@@ -82,7 +82,7 @@ class HermitianOperator:
         return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator(HermitianOperator):
     """A positive semidefinite Hermitian operator with unit trace.
 
@@ -187,17 +187,20 @@ def _hermitian_stack(a: np.ndarray) -> np.ndarray:
     """
     ah = a.conj().swapaxes(-1, -2)
     if a.size:
-        if not np.isfinite(np.max(np.abs(a))):
-            raise ValidationError("matrix has a non-finite entry")
-        gap = np.abs(a - ah)
-        # An asymmetry within HERMITICITY_ATOL everywhere clears every matrix at once.
+        # A gap within HERMITICITY_ATOL everywhere clears the stack; a NaN or inf entry cannot.
+        with np.errstate(invalid="ignore"):
+            gap = np.abs(a - ah)
         if not np.max(gap) <= HERMITICITY_ATOL:
+            if not np.isfinite(np.max(np.abs(a))):
+                raise ValidationError("matrix has a non-finite entry")
             gap = np.max(gap, axis=(-2, -1))
             bad = gap > HERMITICITY_ATOL * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
             if np.any(bad):
                 worst = float(np.max(gap, where=bad, initial=0.0))
                 raise ValidationError(f"matrix is not Hermitian (asymmetry {worst:.3e})")
-    return (a + ah) / 2.0
+    sym = a + ah
+    sym /= 2.0
+    return sym
 
 
 def eig_hermitian(h) -> Spectrum:

@@ -8,18 +8,20 @@ inequalities built from a list of constraint states:
 
 The weights form runs cutting planes: its inequalities are relaxed to cuts
 v' (.) v >= v' rho_x' v, entered one eigenbasis at a time from one batched
-product of quadratic forms, and seeded with the eigenbasis of every state.
-Each iteration solves the cut relaxation through its LP dual, whose
-multipliers, rescaled to exact dual feasibility, give a certified lower
-bound; scales the relaxation point by 2^D_max, the closed-form least factor
-that makes it dominate every state (a certified upper bound); and cuts along
-every violated eigenspace.  The dominating form is the dual of the optimal
-guessing game and needs no LP: a measurement from the minimum-error fixed
-point, sped up by an extrapolation step that is kept only when it pays more
-than the plain step, gives the lower bound, and an operator built from it
-gives the upper bound.  Both stop once the relative gap between the bounds
-is at most GAP_TOL, and both scan their LMIs through one certified stacked
-eigendecomposition, `_lmi_spectra`.
+product of quadratic forms, and seeded with the eigenbasis of every state;
+of the cuts sharing a form row, only the one with the largest right-hand
+side is kept, since it implies the others.  Each iteration solves the cut
+relaxation through its LP dual, whose multipliers, rescaled to exact dual
+feasibility, give a certified lower bound; scales the relaxation point by
+2^D_max, the closed-form least factor that makes it dominate every state (a
+certified upper bound); and cuts along every violated eigenspace.  The
+dominating form is the dual of the optimal guessing game and needs no LP: a
+measurement from the minimum-error fixed point, sped up by an extrapolation
+step that is kept only when it pays more than the plain step, gives the
+lower bound, and an operator built from it gives the upper bound.  Both
+stop once the relative gap between the bounds is at most GAP_TOL, and both
+scan their LMIs through one certified stacked eigendecomposition,
+`_lmi_spectra`.
 """
 
 from __future__ import annotations
@@ -161,35 +163,42 @@ class _CutPool:
 
     A whole eigenbasis is cut at once: one batched product gives every
     column's quadratic forms against the states stack, and one rounding
-    gives the bytes that key every column's cut.
+    gives the bytes that key every column's cut.  The pool keeps one cut per
+    distinct row, so states sharing an eigenbasis seed d cuts, not n d.
     """
 
     def __init__(self, program: LmiProgram):
         self.stack = program.mats
         self.rows: list[np.ndarray] = []
         self.rhs: list[float] = []
-        self._seen: set[tuple[int, bytes]] = set()
+        self._seen: dict[bytes, tuple[int, float]] = {}  # key -> (position, rounded rhs)
         self._warm: list[int] | None = None
 
     def add(self, basis: np.ndarray, idx: int) -> int:
         """Cut v'(.)v >= v' rho_idx v for every column v of the basis.
 
-        Columns go in order; duplicates are skipped.  Returns the number of
-        cuts added.
+        Columns go in order.  A new row is appended; a known row is replaced
+        in place, row and right-hand side, by a cut whose rounded right-hand
+        side is larger, and skipped otherwise.  Returns the cuts added or replaced.
         """
         # forms[k, x] = v_k' rho_x v_k for every column and every state.
         forms = np.einsum("xkj,jk->kx", basis.conj().T @ self.stack, basis).real
         # Row k of the rounded forms keys its cut; -0.0 and 0.0 stay distinct.
-        keys = np.round(forms, 9).tobytes()
+        rounded = np.round(forms, 9)
+        keys = rounded.tobytes()
         width = forms.shape[1] * forms.itemsize
         added = 0
         for k, row in enumerate(forms):
-            key = (idx, keys[k * width : (k + 1) * width])
-            if key in self._seen:
+            key = keys[k * width : (k + 1) * width]
+            at, top = self._seen.get(key, (len(self.rows), -math.inf))
+            if rounded[k, idx] <= top:
                 continue
-            self._seen.add(key)
-            self.rows.append(row)
-            self.rhs.append(float(row[idx]))
+            self._seen[key] = (at, rounded[k, idx])
+            if at == len(self.rows):
+                self.rows.append(row)
+                self.rhs.append(float(row[idx]))
+            else:
+                self.rows[at], self.rhs[at] = row, float(row[idx])
             added += 1
         return added
 
@@ -200,8 +209,10 @@ class _CutPool:
         """A certified lower bound from the LP dual, and the relaxation point.
 
         The LP solution lam gives PSD Z_x = sum of lam_k v_k v_k' over the cuts
-        of state x, with value h.lam and tr(rho_x sum_x' Z_x') = (G'lam)_x;
-        over max_x (G'lam)_x it is dual feasible whatever the simplex roundoff.
+        of state x, each kept cut belonging to the state whose right-hand side
+        it carries, so h_k and row k of G come from one v_k.  Its value is h.lam
+        and tr(rho_x sum_x' Z_x') = (G'lam)_x; over max_x (G'lam)_x it is dual
+        feasible whatever the simplex roundoff.
         """
         g = np.stack(self.rows)
         h = np.asarray(self.rhs)

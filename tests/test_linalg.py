@@ -382,6 +382,17 @@ def test_povm_elements_keep_the_spectra_they_get_alone():
         Povm((HermitianOperator(np.diag([1.2, 1.0])), HermitianOperator(np.diag([-0.2, 0.0]))))
 
 
+def test_operators_compare_and_hash_by_identity():
+    # Comparing the arrays inside the dataclass tuple raised ValueError, and
+    # the generated __eq__ left the operators unhashable.
+    rho, sigma = DensityOperator.pure([1, 0]), DensityOperator.pure([0, 1])
+    assert rho == rho and rho != sigma and rho != DensityOperator.pure([1, 0])
+    assert rho not in [sigma] and rho in [sigma, rho]
+    assert len({rho, sigma, rho}) == 2
+    h = HermitianOperator(np.eye(2))
+    assert h != HermitianOperator(np.eye(2)) and {h: 1}[h] == 1
+
+
 def test_a_state_is_a_hermitian_operator_and_may_be_a_povm_element():
     from qleak.leakage import Povm
 

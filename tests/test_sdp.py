@@ -1,13 +1,16 @@
 """LMI solvers against closed forms and classical oracles."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from helpers import diagonal_weights_value, fixed_point_payoff, random_ensemble
 from qleak import linalg, sdp
+from qleak.channels import apply_states, depolarizing_global
 from qleak.errors import EigenSolverError
+from qleak.leakage import Ensemble, barycentric_leakage
 from qleak.linalg import (
     DensityOperator,
     eig_hermitian,
@@ -149,16 +152,19 @@ def test_seeded_cut_pool_matches_per_vector_quadratic_forms(make_program):
     pool = _seeded_pool(make_program(states))
     # Same bases and order as the seeding: each state's own eigenbasis.
     bases = [eig_hermitian(s).eigenvectors for s in states]
-    rows, rhs, keys = [], [], set()
+    # One cut per rounded row, carrying the largest rounded right-hand side.
+    rows, rhs, keys = [], [], {}
     for x, basis in enumerate(bases):
         for k in range(4):
             v = basis[:, k]
             row = np.array([float(np.real(np.conj(v) @ s.mat @ v)) for s in states])
-            key = (x, np.round(row, 9).tobytes())
+            key = np.round(row, 9).tobytes()
             if key not in keys:
-                keys.add(key)
+                keys[key] = len(rows)
                 rows.append(row)
                 rhs.append(row[x])
+            elif np.round(row[x], 9) > np.round(rhs[keys[key]], 9):
+                rows[keys[key]], rhs[keys[key]] = row, row[x]
     assert len(pool) == len(keys) == 12
     np.testing.assert_allclose(np.stack(pool.rows), np.stack(rows), rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(pool.rhs, rhs, rtol=0.0, atol=1e-12)
@@ -331,4 +337,50 @@ def test_cut_rows_that_differ_only_by_a_signed_zero_stay_two_cuts():
     assert pool.add(np.eye(2, dtype=np.complex128), 0) == 2
     assert [np.signbit(row[1]) for row in np.round(pool.rows, 9)] == [True, False]
     assert pool.add(np.eye(2, dtype=np.complex128), 0) == 0  # the same rows again
-    assert pool.add(np.eye(2, dtype=np.complex128), 1) == 2  # keyed per state
+    # State 1's right-hand sides (about -1e-12 and 1e-12) are implied by
+    # state 0's 0.5 on the same rows.
+    assert pool.add(np.eye(2, dtype=np.complex128), 1) == 0
+
+
+def test_a_larger_right_hand_side_replaces_its_cut_in_place():
+    pool = sdp._CutPool(sdp.weights_program(random_ensemble(2, 2, seed=1).states))
+    basis = np.eye(2, dtype=np.complex128)
+    # Against these stand-in states e_0 has the form row [0.2, 0.5] and e_1 [0.6, 0.1].
+    pool.stack = np.array([np.diag([0.2, 0.6]), np.diag([0.5, 0.1])], dtype=np.complex128)
+    assert pool.add(basis, 0) == 2
+    assert pool.rhs == [0.2, 0.6]
+    # Rows that round alike: state 1's 0.5 beats 0.2, so its cut takes e_0's
+    # place, row and right-hand side; its 0.1 is implied by 0.6 and skipped.
+    pool.stack = pool.stack + 1e-12 * np.eye(2)
+    assert pool.add(basis, 1) == 1
+    assert len(pool) == 2
+    kept = [[0.2 + 1e-12, 0.5 + 1e-12], [0.6, 0.1]]
+    np.testing.assert_allclose(pool.rows, kept, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(pool.rhs, [0.5 + 1e-12, 0.6], rtol=0.0, atol=1e-15)
+    # State 0's right-hand sides are now both at most the kept ones.
+    assert pool.add(basis, 0) == 0
+    assert len(pool) == 2
+
+
+@pytest.mark.parametrize("d", [8, 16, 32])
+def test_depolarized_basis_states_keep_one_cut_per_basis_vector(monkeypatch, d):
+    # The d states share one eigenbasis, so their d^2 seed cuts have d rows.
+    p = 0.3
+    states = apply_states(depolarizing_global(p, d), DensityOperator.pure_stack(np.eye(d)))
+    pool = _seeded_pool(weights_program(states))
+    assert len(pool) == d
+    np.testing.assert_allclose(pool.rhs, (1 - p) + p / d, rtol=0.0, atol=1e-12)
+    pivots = []
+    real = sdp.resume_phase2
+
+    def counting(*args):
+        res = real(*args)
+        pivots.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(sdp, "resume_phase2", counting)
+    cert = barycentric_leakage(Ensemble.uniform(states))
+    assert cert.status == STATUS_SOLVED and cert.iterations == 1
+    # Within its gap, plus the rounding of the closed form (the margin is 4e-16 at d = 16).
+    assert abs(cert.value - math.log2(d * (1 - p) + p)) <= cert.gap + 1e-12
+    assert sum(pivots) <= d
