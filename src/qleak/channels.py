@@ -282,11 +282,13 @@ class TraceDistanceNeighbours:
 
 @dataclass(frozen=True)
 class ExplicitPairs:
-    """Neighbour relation given outright as ordered index pairs."""
+    """Neighbour relation given outright as ordered index pairs, at least one."""
 
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if not self.pairs:
+            raise ValidationError("explicit neighbouring needs at least one pair")
         object.__setattr__(self, "pairs", tuple((int(a), int(b)) for a, b in self.pairs))
 
 

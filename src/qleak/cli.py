@@ -66,17 +66,15 @@ def _matrix_to_json(mat: np.ndarray) -> list:
 def _matrix_from_json(rows, label: str) -> np.ndarray:
     """The complex matrix whose entries are the [re, im] pairs of rows, in one conversion."""
     try:
-        parts = np.array(rows)
-    except ValueError as ex:  # ragged rows
+        parts = _float_array(rows)
+    except (TypeError, ValueError, OverflowError) as ex:
         raise ValidationError(f"{label}: entries must be [re, im] pairs ({ex})") from ex
-    if parts.dtype.kind not in "biuf":
-        raise ValidationError(f"{label}: entries must be [re, im] pairs (a part is not a number)")
     if parts.ndim != 3 or parts.shape[2] != 2:
         raise ValidationError(
             f"{label}: entries must be [re, im] pairs (got an array of shape {parts.shape})"
         )
     # The (re, im) float pairs are laid out as complex numbers.
-    return np.ascontiguousarray(parts, dtype=np.float64).view(np.complex128)[..., 0]
+    return parts.view(np.complex128)[..., 0]
 
 
 def _convert(value, kind, field: str, what: str = ""):
@@ -105,11 +103,20 @@ def _expect(value, kind: type, field: str):
 
 
 def _float_array(value) -> np.ndarray:
-    """value as a float array, refused unless numpy reads it as numbers."""
-    a = np.asarray(value)
-    if a.dtype.kind not in "iuf":
-        raise TypeError(f"an array of {a.dtype}")
-    return np.asarray(a, dtype=np.float64)
+    """value, a number or nested JSON arrays of them, as a float array.
+
+    Every element is checked, as `_convert` checks a scalar: a JSON boolean,
+    string or null is not a number, and ragged rows are refused.  numpy
+    would merge `[true, 0.5]` into the floats `[1.0, 0.5]`, so the elements
+    are read as the objects the JSON parser made.
+    """
+    a = np.array(value, dtype=object)
+    types = set(map(type, a.flat))
+    if list in types:
+        raise ValueError("rows of unequal length")
+    if not {int, float}.issuperset(types):
+        raise TypeError("a part is not a number")
+    return a.astype(np.float64)
 
 
 def ensemble_to_json(e: Ensemble) -> dict:
@@ -176,8 +183,11 @@ def parse_dp_params(doc: dict) -> DpParams:
             kappa=_convert(nb.get("kappa", 2.0), float, "neighbouring.kappa")
         )
     elif kind == "explicit":
+        entries = _expect(nb.get("pairs", []), list, "neighbouring.pairs")
+        if not entries:
+            raise ValidationError("neighbouring.pairs must list at least one pair")
         pairs = []
-        for i, pair in enumerate(_expect(nb.get("pairs", []), list, "neighbouring.pairs")):
+        for i, pair in enumerate(entries):
             field = f"neighbouring.pairs[{i}]"
             if len(_expect(pair, list, field)) != 2:
                 raise ValidationError(f"{field} must be a pair of indices, got {pair!r}")
@@ -258,21 +268,7 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _diag_pair_ensemble() -> Ensemble:
-    return Ensemble.uniform(
-        (
-            DensityOperator.from_matrix(np.diag([0.75, 0.25])),
-            DensityOperator.from_matrix(np.diag([0.25, 0.75])),
-        )
-    )
-
-
-def _basis_ensemble(dim: int) -> Ensemble:
-    states = []
-    for x in range(dim):
-        vec = np.zeros(dim, dtype=np.complex128)
-        vec[x] = 1.0
-        states.append(DensityOperator.pure(vec))
-    return Ensemble.uniform(tuple(states))
+    return Ensemble.uniform(DensityOperator.stack([np.diag([0.75, 0.25]), np.diag([0.25, 0.75])]))
 
 
 def _cap_exit(capped: list[str]) -> int:
@@ -370,14 +366,7 @@ def _tradeoff_model(args) -> tuple[VariationalModel, list, np.ndarray]:
     d = args.d
     if not 2 <= d <= 2**MAX_QUBITS or d & (d - 1):
         raise ValidationError(f"--d must be a power of two in 2..{2**MAX_QUBITS}, got {d}")
-    qubits = d.bit_length() - 1
-    model = VariationalModel(
-        qubits=qubits,
-        encoder=BasisEncoding(),
-        layers=(),
-        classifier=basis_classifier(qubits),
-    )
-    return model, list(range(d)), np.full(d, 1.0 / d)
+    return parse_model({"qubits": d.bit_length() - 1, "encoder": "basis"})
 
 
 def _cmd_tradeoff(args) -> tuple[str, int]:
@@ -406,7 +395,7 @@ def _cmd_sweep(args) -> tuple[str, int]:
 
 def _cmd_demo(args) -> tuple[str, int]:
     chunks = []
-    basis = _basis_ensemble(4)
+    basis = Ensemble.uniform(DensityOperator.pure_stack(np.eye(4)))
     table, code_a = _leakage_table(basis, restarts=8, seed=args.seed)
     chunks.append("== basis encoding on two qubits ==")
     chunks.append(table.rstrip("\n"))

@@ -226,6 +226,8 @@ def test_neighbouring_relations_select_pairs():
         )
     with pytest.raises(ValidationError):
         TraceDistanceNeighbours(kappa=0.0)
+    with pytest.raises(ValidationError, match="at least one pair"):
+        ExplicitPairs(())
 
 
 def test_dp_params_validation():

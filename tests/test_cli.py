@@ -296,6 +296,15 @@ def _dp_doc(params=None, dp=None):
         ("dp-check", _dp_doc(params={"p": "0.5"}), "params.p"),
         ("leakage", {**_pair_doc(), "dimension": "2"}, "dimension"),
         ("leakage", {**_pair_doc(), "prior": ["0.5", "0.5"]}, "prior"),
+        ("tradeoff", {"qubits": 1, "encoder": "basis", "layers": [[True, 0.5]]}, "layers[0]"),
+        ("tradeoff", {"qubits": 2, "encoder": "angle", "inputs": [[0.3, True], [0.1, 0.2]]},
+         "inputs[0]"),
+        ("tradeoff", {"qubits": 1, "encoder": "basis", "prior": [0.5, True]}, "prior"),
+        ("dp-check", _dp_doc(dp={"epsilon_nats": 1.0,
+                                 "neighbouring": {"kind": "explicit", "pairs": []}}),
+         "neighbouring.pairs"),
+        ("dp-check", _dp_doc(dp={"epsilon_nats": 1.0, "neighbouring": {"kind": "explicit"}}),
+         "neighbouring.pairs"),
     ],
     ids=["states-not-list", "dimension-not-int", "p-not-number", "epsilon-not-number",
          "pair-of-one", "channel-dimension-mismatch", "spec-not-object",
@@ -303,7 +312,8 @@ def _dp_doc(params=None, dp=None):
          "angle-input-not-number", "basis-input-not-int", "inputs-empty",
          "kraus-not-list", "qubits-fractional", "dimension-fractional",
          "basis-input-fractional", "qubits-too-many", "qubits-negative", "p-boolean",
-         "epsilon-boolean", "p-string", "dimension-string", "prior-strings"],
+         "epsilon-boolean", "p-string", "dimension-string", "prior-strings", "layer-boolean",
+         "angle-input-boolean", "prior-boolean", "explicit-pairs-empty", "explicit-pairs-missing"],
 )
 def test_malformed_spec_exits_two(tmp_path, command, doc, named):
     path = tmp_path / "spec.json"
@@ -530,8 +540,8 @@ def _state_doc(entry):
 
 
 @pytest.mark.parametrize(
-    "entry", [[1, 0, 5], [0.75, 0, "x"], ["0.75", 0], [0.75], [0.75, None]],
-    ids=["extra-number", "extra-string", "string-part", "short", "null-part"],
+    "entry", [[1, 0, 5], [0.75, 0, "x"], ["0.75", 0], [0.75], [0.75, None], [True, 0]],
+    ids=["extra-number", "extra-string", "string-part", "short", "null-part", "boolean-part"],
 )
 @pytest.mark.parametrize(
     "command, make, field",
@@ -554,3 +564,24 @@ def test_ragged_matrix_rows_exit_two(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["leakage", "--input", str(path)]) == 2
     assert "states[0]: entries must be [re, im] pairs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "neighbouring, rows, verdict",
+    [
+        ({"kind": "explicit", "pairs": [[0, 1]]}, [("0->1", "0.736966", "FAIL")], "FAIL"),
+        ({"kind": "trace_distance", "kappa": 0.1}, [("0->0", "0.000000", "pass")], "PASS"),
+        ({"kind": "trace_distance"},
+         [("0->1", "0.736966", "FAIL"), ("1->0", "0.736966", "FAIL")], "FAIL"),
+    ],
+    ids=["explicit", "trace-distance-near", "trace-distance-default"],
+)
+def test_dp_check_neighbour_relations_select_rows(tmp_path, capsys, neighbouring, rows, verdict):
+    path = tmp_path / "dp.json"
+    path.write_text(json.dumps(_dp_doc(dp={"epsilon_nats": 0.1, "neighbouring": neighbouring})))
+    assert main(["dp-check", "--input", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # 0.1 nats is 0.144270 bits, the threshold column of every row.
+    want = [(pair, bits, "0.144270", status) for pair, bits, status in rows]
+    assert [tuple(line.split()) for line in lines[2:-2]] == want
+    assert lines[-2].startswith(f"overall: {verdict}")

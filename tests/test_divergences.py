@@ -115,6 +115,18 @@ def test_sibson_information_ignores_prior_at_infinite_order_on_support():
     assert a == pytest.approx(b, abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0])
+def test_sibson_information_at_finite_orders(alpha):
+    # I_alpha(X; X) is the Renyi entropy H_{1/alpha}(X); identical rows leak nothing.
+    prior = np.array([0.5, 0.3, 0.2])
+    beta = 1.0 / alpha
+    renyi_entropy = math.log2(np.sum(prior**beta)) / (1.0 - beta)
+    got = sibson_information(prior, ConditionalKernel(np.eye(3)), alpha)
+    assert got == pytest.approx(renyi_entropy, abs=1e-12)
+    same = ConditionalKernel(np.tile([0.6, 0.3, 0.1], (3, 1)))
+    assert sibson_information(prior, same, alpha) == pytest.approx(0.0, abs=1e-12)
+
+
 def test_relative_entropy_diagonal_matches_classical():
     rho = DensityOperator.from_matrix(np.diag([0.75, 0.25]))
     sigma = DensityOperator.from_matrix(np.diag([0.5, 0.5]))
@@ -127,6 +139,21 @@ def test_relative_entropy_off_support_is_infinite():
     rho = DensityOperator.from_matrix(np.diag([0.5, 0.5]))
     sigma = DensityOperator.pure([1.0, 0.0])
     assert relative_entropy(rho, sigma) == math.inf
+
+
+def test_renyi_divergences_off_support_and_at_order_one():
+    zero, one = DensityOperator.pure([1.0, 0.0]), DensityOperator.pure([0.0, 1.0])
+    mixed = DensityOperator.from_matrix(np.diag([0.5, 0.5]))
+    # mixed escapes the support of zero; zero and one have disjoint supports.
+    assert sandwiched_renyi(mixed, zero, 2.0) == math.inf
+    assert sandwiched_renyi(zero, one, 0.5) == math.inf
+    assert petz_renyi(zero, one, ORDER_INF) == math.inf
+    assert petz_renyi(zero, one, 0.5) == math.inf
+    assert petz_renyi(mixed, zero, 2.0) == math.inf
+    rho = DensityOperator.from_matrix(np.diag([0.75, 0.25]))
+    want = relative_entropy(rho, mixed)
+    assert sandwiched_renyi(rho, mixed, ORDER_ONE) == want
+    assert petz_renyi(rho, mixed, ORDER_ONE) == want
 
 
 def test_sandwiched_infinite_order_is_max_relative_entropy():

@@ -120,6 +120,7 @@ def test_layerless_circuit_is_identity():
 def test_degradation_examples():
     model = _angle_model()
     assert performance_degradation(model, [[1.0]], identity_channel(2)) == 0.0
+    assert performance_degradation(model, [], depolarizing_global(0.5, 2)) == 0.0
     inputs = [[math.pi / 3], [2 * math.pi / 3]]
     gamma = performance_degradation(model, inputs, depolarizing_global(0.5, 2))
     assert gamma == pytest.approx(0.25, abs=1e-12)
