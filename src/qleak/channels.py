@@ -6,9 +6,10 @@ d-dimensional system or with d = 2 on every qubit of a register; their d^2
 Weyl-twirl Kraus operators are built only when something reads `kraus`.
 A channel does not remember which factory made it: `depolarized_leakage`
 is the one place that ties global noise of strength p to its leakage cap
-log2(1 + 2(1-p)d/p).  The differential-privacy helpers evaluate the
-max-divergence consequence of (epsilon, 0)-DP between neighbouring
-ensemble members: a necessary condition, never a certificate.
+log2(1 + 2(1-p)d/p), and to R's closed form on pure states.  The
+differential-privacy helpers evaluate the max-divergence consequence of
+(epsilon, 0)-DP between neighbouring ensemble members: a necessary
+condition, never a certificate.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .leakage import (
+    KIND_PAIRWISE,
     Ensemble,
     LeakageCertificate,
     barycentric_leakage,
@@ -282,14 +284,18 @@ class TraceDistanceNeighbours:
 
 @dataclass(frozen=True)
 class ExplicitPairs:
-    """Neighbour relation given outright as ordered index pairs, at least one."""
+    """Neighbour relation given outright as ordered index pairs, at least one.
+
+    A repeated pair counts once; the pairs keep their first-occurrence order.
+    """
 
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if not self.pairs:
             raise ValidationError("explicit neighbouring needs at least one pair")
-        object.__setattr__(self, "pairs", tuple((int(a), int(b)) for a, b in self.pairs))
+        unique = dict.fromkeys((int(a), int(b)) for a, b in self.pairs)
+        object.__setattr__(self, "pairs", tuple(unique))
 
 
 @dataclass(frozen=True)
@@ -391,6 +397,34 @@ def leakage_after_channel(
     return barycentric_leakage(noisy), pairwise_leakage(noisy)
 
 
+def _depolarized_pure_pairwise(e: Ensemble, p: float) -> LeakageCertificate:
+    """R of the pure states of e after global depolarizing noise, 0 < p < 1.
+
+    Off the span of psi_i and psi_j both noisy states are b I, so D_max of
+    the pair is a 2 x 2 problem: with a = 1-p, b = p/d, kappa = b(a+b)/a^2
+    and overlap g = |<psi_i|psi_j>|^2 it is log2 mu, where
+    mu = (s + sqrt(s^2 - 4 kappa^2)) / (2 kappa) and s = 2 kappa + 1 - g.
+    mu falls as g rises, so R is read at the least overlap of the Gram
+    matrix of the states' top eigenvectors (a phase drops out of g), and
+    the first pair in row-major order with it is the witness; a lone state
+    is paired with itself.  That pair's 1 - g is half the squared Frobenius
+    distance of the two states, which keeps its relative accuracy as g
+    nears 1 and is exactly 0 for equal states, and s^2 - 4 kappa^2 is
+    formed as (1-g)(1-g + 4 kappa).
+    """
+    n, d = e.count, e.dim
+    tops = np.array([s.spectrum.eigenvectors[:, -1] for s in e.states])
+    overlap = np.abs(tops.conj() @ tops.T) ** 2
+    np.fill_diagonal(overlap, np.inf)
+    i, j = divmod(int(np.argmin(overlap)), n)
+    diff = e.states[i].mat - e.states[j].mat
+    apart = 0.5 * float(np.vdot(diff, diff).real)
+    a, b = 1.0 - p, p / d
+    kappa = b * (a + b) / (a * a)
+    mu = 1.0 + (apart + math.sqrt(apart * (apart + 4.0 * kappa))) / (2.0 * kappa)
+    return LeakageCertificate(math.log2(mu), KIND_PAIRWISE, (i, j), 0.0, "optimal")
+
+
 def depolarized_leakage(
     e: Ensemble, p: float, noisy: Ensemble | None = None
 ) -> tuple[LeakageCertificate, LeakageCertificate, float]:
@@ -402,10 +436,25 @@ def depolarized_leakage(
     resolution limit, reported as ValidationError.  Local noise has no such
     check here: the global cap does not hold for it.  A caller that already
     holds e through `depolarizing_global(p, e.dim)` passes it as `noisy`.
+
+    R is the closed form of `_depolarized_pure_pairwise` when every state
+    of e is pure (one eigenvalue in its kept spectrum's support), 0 < p < 1
+    and no noisy state has a kernel.  Otherwise (a mixed state, p = 1, or a
+    floor p/d under the support threshold) R is `pairwise_leakage`, the
+    eigen route, which decomposes every pair's sandwich and reports that
+    floor as infinite.
     """
     if noisy is None:
         noisy = apply_ensemble(depolarizing_global(p, e.dim), e)
-    b, r = barycentric_leakage(noisy), pairwise_leakage(noisy)
+    b = barycentric_leakage(noisy)
+    if (
+        0.0 < p < 1.0
+        and all(np.count_nonzero(s.spectrum.support) == 1 for s in e.states)
+        and all(s.spectrum.support.all() for s in noisy.states)
+    ):
+        r = _depolarized_pure_pairwise(e, p)
+    else:
+        r = pairwise_leakage(noisy)
     if p > 0.0 and math.isinf(r.value):
         # The noisy states have full rank, so R is finite; inf means the floor
         # p/d fell under the support threshold.

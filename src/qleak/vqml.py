@@ -244,8 +244,10 @@ def tradeoff_curve(model: VariationalModel, inputs, prior, p_grid) -> list[Trade
     leakage columns and 2p must dominate the degradation; violations are
     raised, not returned.  The intercepted ensemble is the circuit outputs
     U V_x|0...0> under the prior, built and validated once as one stack;
-    at each p their noisy states are one more stack, which the degradation,
-    B and R all read.
+    at each p their noisy states are one more stack, which the degradation
+    and B read.  The outputs are pure, so R is the closed form of
+    `depolarized_leakage` for 0 < p < 1, and the eigen route on the noisy
+    stack at p = 1 or when the floor p/d falls under the support threshold.
     """
     grid = [float(p) for p in p_grid]
     for p in grid:

@@ -33,7 +33,7 @@ from qleak.errors import (
     UnsupportedModeError,
     ValidationError,
 )
-from qleak.leakage import Ensemble
+from qleak.leakage import Ensemble, pairwise_leakage
 from qleak.linalg import DensityOperator, random_density
 
 
@@ -220,6 +220,11 @@ def test_neighbouring_relations_select_pairs():
         ch, e, DpParams(epsilon_nats=5.0, neighbouring=ExplicitPairs(pairs=((0, 1),)))
     )
     assert [(r.x, r.x_prime) for r in chosen.pairs] == [(0, 1)]
+    assert ExplicitPairs(((1, 0), (0, 1), (1, 0), (0, 1))).pairs == ((1, 0), (0, 1))
+    repeated = verify_dp_on_ensemble(
+        ch, e, DpParams(epsilon_nats=5.0, neighbouring=ExplicitPairs(pairs=((0, 1), (0, 1))))
+    )
+    assert repeated == chosen
     with pytest.raises(ValidationError):
         verify_dp_on_ensemble(
             ch, e, DpParams(epsilon_nats=5.0, neighbouring=ExplicitPairs(pairs=((0, 9),)))
@@ -288,6 +293,84 @@ def test_depolarized_leakage_enforces_the_cap(monkeypatch, kind):
         shifted.update(value=bound + 0.5 + 1e-3)
         with pytest.raises(ChainViolationError, match="barycentric leakage"):
             depolarized_leakage(_diag_pair(), 0.5)
+
+
+def _pure_ensemble(rng, n, d):
+    """n seeded complex Gaussian pure states (no two orthogonal) under the uniform prior."""
+    rows = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    return Ensemble.uniform(DensityOperator.pure_stack(rows))
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16, 32, 64])
+def test_depolarized_pure_pairwise_matches_the_eigen_route(d):
+    # pairwise_leakage, which decomposes every pair's sandwich, is the oracle.
+    rng = np.random.default_rng(d)
+    for n in range(1, 9):
+        e = _pure_ensemble(rng, n, d)
+        if n >= 3:  # one state close to another: an overlap near 1
+            rows = [s.spectrum.eigenvectors[:, -1] for s in e.states]
+            rows[-1] = rows[0] + 1e-3 * rows[1]
+            e = Ensemble.uniform(DensityOperator.pure_stack(rows))
+        for p in (0.05, 0.3, 0.95):
+            want = pairwise_leakage(apply_ensemble(depolarizing_global(p, d), e))
+            got = channels_module._depolarized_pure_pairwise(e, p)
+            assert abs(got.value - want.value) <= 1e-12
+            assert (got.kind, got.gap, got.status) == (want.kind, want.gap, want.status)
+            if n == 1:
+                assert (got.value, got.witness) == (0.0, (0, 0))
+
+
+def test_depolarized_pure_pairwise_witness_is_the_first_least_overlap():
+    d, p = 4, 0.3
+    e0, e1 = np.eye(d)[:2]
+    e = Ensemble.uniform(DensityOperator.pure_stack([e0, e0 + e1, e1, e1]))
+    r = channels_module._depolarized_pure_pairwise(e, p)
+    assert r.witness == (0, 2)  # (0, 2) and (0, 3) are orthogonal; (0, 2) comes first
+    assert r.value == pytest.approx(math.log2(1.0 + (1.0 - p) * d / p), abs=1e-12)
+
+
+def test_depolarized_pure_pairwise_of_duplicates_is_exactly_zero():
+    rng = np.random.default_rng(11)
+    for d in (2, 8, 64):
+        for n in (2, 3, 5):
+            row = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            e = Ensemble.uniform(DensityOperator.pure_stack([row] * n))
+            for p in (0.05, 0.3, 0.95):
+                assert channels_module._depolarized_pure_pairwise(e, p).value == 0.0
+                assert depolarized_leakage(e, p)[1].value == 0.0
+
+
+def test_depolarized_leakage_takes_the_closed_form_only_where_it_holds(monkeypatch):
+    e = _pure_ensemble(np.random.default_rng(4), 4, 8)
+    routes = []
+    real = channels_module.pairwise_leakage
+
+    def eigen_route(noisy):
+        routes.append(noisy)
+        return real(noisy)
+
+    monkeypatch.setattr(channels_module, "pairwise_leakage", eigen_route)
+    for p in (0.05, 0.5, 0.95):
+        _, r, _ = depolarized_leakage(e, p)
+        assert r == channels_module._depolarized_pure_pairwise(e, p)
+    assert routes == []
+    # p = 1 maps every state to I/d times its trace, which is 1 up to roundoff;
+    # the eigen route gives R = 0 up to that roundoff.
+    assert depolarized_leakage(e, 1.0)[1].value <= 1e-15
+    assert len(routes) == 1
+    # The floor p/d under the support threshold: the noisy states have a
+    # kernel, and the eigen route refuses p.
+    with pytest.raises(ValidationError) as err:
+        depolarized_leakage(e, 1e-12)
+    assert str(err.value) == (
+        "depolarizing strength p = 1e-12 is too small to resolve at d = 8: the noise "
+        "floor p/d falls under SUPPORT_RTOL = 1e-09 of the top eigenvalue"
+    )
+    assert len(routes) == 2
+    # One mixed state sends R to the eigen route.
+    mixed = Ensemble.uniform((*e.states[:3], DensityOperator.maximally_mixed(8)))
+    depolarized_leakage(mixed, 0.5)
+    assert len(routes) == 3
 
 
 def test_full_depolarizing_washes_out_dp_distinctions():

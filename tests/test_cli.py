@@ -409,6 +409,19 @@ def test_unresolvably_small_p_exits_two(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[1].split(",")[4] == "29.312390"
 
 
+@pytest.mark.parametrize("d", [2, 8, 16])
+def test_tradeoff_refuses_an_unresolvable_p_with_the_eigen_route_text(capsys, d):
+    # The closed form would return a finite R here; the noisy states have a
+    # kernel, so R takes the eigen route, which refuses p.
+    assert main(["tradeoff", "--d", str(d), "--p-grid", "0.37,1e-12"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: depolarizing strength p = 1e-12 is too small to resolve at d = {d}: the noise "
+        "floor p/d falls under SUPPORT_RTOL = 1e-09 of the top eigenvalue\n"
+    )
+
+
 def test_chain_violations_exit_four(monkeypatch, capsys):
     import qleak.cli as cli_mod
 
@@ -570,11 +583,15 @@ def test_ragged_matrix_rows_exit_two(tmp_path, capsys):
     "neighbouring, rows, verdict",
     [
         ({"kind": "explicit", "pairs": [[0, 1]]}, [("0->1", "0.736966", "FAIL")], "FAIL"),
+        ({"kind": "explicit", "pairs": [[0, 1], [0, 1]]}, [("0->1", "0.736966", "FAIL")], "FAIL"),
+        ({"kind": "explicit", "pairs": [[1, 0], [0, 1], [1, 0]]},
+         [("1->0", "0.736966", "FAIL"), ("0->1", "0.736966", "FAIL")], "FAIL"),
         ({"kind": "trace_distance", "kappa": 0.1}, [("0->0", "0.000000", "pass")], "PASS"),
         ({"kind": "trace_distance"},
          [("0->1", "0.736966", "FAIL"), ("1->0", "0.736966", "FAIL")], "FAIL"),
     ],
-    ids=["explicit", "trace-distance-near", "trace-distance-default"],
+    ids=["explicit", "explicit-repeated", "explicit-repeats-keep-first-order",
+         "trace-distance-near", "trace-distance-default"],
 )
 def test_dp_check_neighbour_relations_select_rows(tmp_path, capsys, neighbouring, rows, verdict):
     path = tmp_path / "dp.json"

@@ -6,18 +6,20 @@ import numpy as np
 import pytest
 
 import qleak.divergences as divergences_module
+import qleak.leakage as leakage_module
 import qleak.linalg as linalg_module
 import qleak.sdp as sdp_module
 import qleak.vqml as vqml_module
 from qleak.channels import (
     QuantumChannel,
     apply,
+    apply_ensemble,
     depolarized_leakage,
     depolarizing_global,
     identity_channel,
 )
 from qleak.errors import DimensionMismatch, ValidationError
-from qleak.leakage import Ensemble, Povm
+from qleak.leakage import Ensemble, Povm, pairwise_leakage
 from qleak.linalg import DensityOperator, HermitianOperator
 from qleak.vqml import (
     AngleEncoding,
@@ -232,20 +234,30 @@ def test_tradeoff_rejects_bad_grid(monkeypatch):
 def _unshared_row(model, inputs, prior, p):
     """Degradation, B and R with every state built, noised and decomposed on its own.
 
-    Each intercepted state is its own pure circuit output U V_x|0...0>.
+    Each intercepted state is its own pure circuit output U V_x|0...0>, and
+    R is the eigen route's `pairwise_leakage` of their noisy states.
     """
     e = encode_ensemble(model, inputs, prior)
     u = circuit_unitary(model)
     outputs = tuple(DensityOperator.pure(u @ vqml_module._encode_state(model, x)) for x in inputs)
-    b, r, _ = depolarized_leakage(Ensemble(e.prior, outputs), p)
+    intercepted = Ensemble(e.prior, outputs)
+    b, _, _ = depolarized_leakage(intercepted, p)
+    r = pairwise_leakage(apply_ensemble(depolarizing_global(p, model.dim), intercepted))
     return performance_degradation(model, inputs, depolarizing_global(p, model.dim)), b, r
 
 
 def _assert_row_equals(row, model, inputs, prior):
     gamma, b, r = _unshared_row(model, inputs, prior, row.p)
     assert row.gamma_actual == gamma
-    assert (row.leakage_B, row.barycentric.gap, row.leakage_R) == (b.value, b.gap, r.value)
+    assert (row.leakage_B, row.barycentric.gap) == (b.value, b.gap)
     assert np.array_equal(row.barycentric.witness, b.witness)
+    # The row's R is the closed form on the pure outputs for 0 < p < 1; r
+    # comes from the eigen route, so the two agree to roundoff, not bitwise.
+    assert abs(row.leakage_R - r.value) <= 1e-12
+
+
+def _refuse_sandwiches(*args):
+    raise AssertionError("max_relative_entropy_pairs called")
 
 
 def _assert_tradeoff_decompositions(monkeypatch, qubits, want):
@@ -261,11 +273,13 @@ def _assert_tradeoff_decompositions(monkeypatch, qubits, want):
 
     for module in (linalg_module, divergences_module, sdp_module):
         monkeypatch.setattr(module, "eigh_stack", counted)
+    for module in (divergences_module, leakage_module):
+        monkeypatch.setattr(module, "max_relative_entropy_pairs", _refuse_sandwiches)
     (row,) = tradeoff_curve(model, inputs, prior, [0.3])
-    # The circuit outputs and the noisy states are each one stack, B scans its LMIs
-    # once and R's d(d-1) sandwiches go 16 to a call; at d = 16 B also lifts
-    # its point once.  One decomposition per state and per sandwich took
-    # 25 calls at d = 8 and 50 at d = 16.
+    # The circuit outputs and the noisy states are each one stack, and B scans
+    # its LMIs once; at d = 16 B also lifts its point once.  R is the closed
+    # form on the Gram matrix and decomposes nothing; its d(d-1) sandwiches
+    # took 4 calls at d = 8 and 15 at d = 16.
     assert len(calls) == want
     assert calls[:2] == [(d, d, d)] * 2
     monkeypatch.undo()
@@ -273,11 +287,11 @@ def _assert_tradeoff_decompositions(monkeypatch, qubits, want):
 
 
 def test_tradeoff_decomposes_each_shared_state_once(monkeypatch):
-    _assert_tradeoff_decompositions(monkeypatch, 3, 7)
+    _assert_tradeoff_decompositions(monkeypatch, 3, 3)
 
 
 def test_tradeoff_decomposes_each_shared_state_once_at_d16(monkeypatch):
-    _assert_tradeoff_decompositions(monkeypatch, 4, 19)
+    _assert_tradeoff_decompositions(monkeypatch, 4, 4)
 
 
 _LAYERED = pytest.mark.parametrize(
@@ -311,6 +325,29 @@ def test_tradeoff_rows_agree_with_rotated_encoded_states(model, inputs, prior):
         assert row.gamma_actual == gamma
         assert abs(row.leakage_B - b.value) <= row.barycentric.gap + b.gap
         assert abs(row.leakage_R - r.value) <= 1e-10
+
+
+@_LAYERED
+def test_tradeoff_r_never_decomposes_a_sandwich_below_p_one(monkeypatch, model, inputs, prior):
+    # pairwise_leakage reaches D_max through leakage's binding.  B may still
+    # scale an infeasible point by 2^D_max through divergences' own binding
+    # (it does on the one-qubit model), so that one stays.
+    monkeypatch.setattr(leakage_module, "max_relative_entropy_pairs", _refuse_sandwiches)
+    rows = tradeoff_curve(model, inputs, prior, [0.05, 0.3, 0.95])
+    with pytest.raises(AssertionError, match="max_relative_entropy_pairs called"):
+        tradeoff_curve(model, inputs, prior, [1.0])  # p = 1 takes the eigen route
+    monkeypatch.undo()
+    for row in rows:
+        _assert_row_equals(row, model, inputs, prior)
+
+
+def test_tradeoff_r_of_repeated_inputs_is_exactly_zero():
+    model = random_model(3, layers=2, encoder=AngleEncoding(), seed=2)
+    x = [0.3, 1.7, 4.1]
+    rows = tradeoff_curve(model, [x, x, x], [0.2, 0.3, 0.5], [0.05, 0.3, 0.95, 1.0])
+    assert [row.leakage_R for row in rows] == [0.0] * 4
+    basis = random_model(2, layers=0)
+    assert tradeoff_curve(basis, [0, 1, 2, 3], [0.25] * 4, [1.0])[0].leakage_R == 0.0
 
 
 def test_born_probabilities_equal_one_trace_per_element():
