@@ -31,6 +31,7 @@ from .leakage import (
     KIND_PAIRWISE,
     Ensemble,
     LeakageCertificate,
+    _ordered_pairs,
     barycentric_leakage,
     pairwise_leakage,
 )
@@ -270,6 +271,9 @@ def dp_epsilon_bound_depolarizing(p: float, d: int) -> float:
 class AllPairs:
     """Every two distinct ensemble members are neighbours."""
 
+    def select(self, e: Ensemble) -> list[tuple[int, int]]:
+        return _ordered_pairs(e.count)
+
 
 @dataclass(frozen=True)
 class TraceDistanceNeighbours:
@@ -280,6 +284,10 @@ class TraceDistanceNeighbours:
     def __post_init__(self):
         if not self.kappa > 0.0:
             raise ValidationError(f"kappa must be positive, got {self.kappa}")
+
+    def select(self, e: Ensemble) -> list[tuple[int, int]]:
+        return [(i, j) for i, j in _ordered_pairs(e.count)
+                if trace_distance(e.states[i], e.states[j]) <= self.kappa + 1e-12]
 
 
 @dataclass(frozen=True)
@@ -296,6 +304,12 @@ class ExplicitPairs:
             raise ValidationError("explicit neighbouring needs at least one pair")
         unique = dict.fromkeys((int(a), int(b)) for a, b in self.pairs)
         object.__setattr__(self, "pairs", tuple(unique))
+
+    def select(self, e: Ensemble) -> list[tuple[int, int]]:
+        for a, b in self.pairs:
+            if not (0 <= a < e.count and 0 <= b < e.count):
+                raise ValidationError(f"pair ({a}, {b}) outside ensemble of {e.count}")
+        return list(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -334,34 +348,15 @@ class DpCheckReport:
     note: str
 
 
-def _neighbour_pairs(e: Ensemble, relation) -> list[tuple[int, int]]:
-    if isinstance(relation, ExplicitPairs):
-        for a, b in relation.pairs:
-            if not (0 <= a < e.count and 0 <= b < e.count):
-                raise ValidationError(f"pair ({a}, {b}) outside ensemble of {e.count}")
-        return list(relation.pairs)
-    pairs = [(i, j) for i in range(e.count) for j in range(e.count) if i != j]
-    if isinstance(relation, TraceDistanceNeighbours):
-        pairs = [
-            (i, j)
-            for i, j in pairs
-            if trace_distance(e.states[i], e.states[j]) <= relation.kappa + 1e-12
-        ]
-    elif not isinstance(relation, AllPairs):
-        raise UnsupportedModeError(f"unknown neighbouring relationship {relation!r}")
-    if not pairs:
-        # a lone state is its own neighbour; report the reflexive pair
-        pairs = [(0, 0)]
-    return pairs
-
-
 def verify_dp_on_ensemble(ch: QuantumChannel, e: Ensemble, params: DpParams) -> DpCheckReport:
     """Check the divergence consequence of pure DP on every neighbour pair.
 
     Epsilon-DP with delta = 0 forces the order-infinity sandwiched
     divergence between channel outputs of neighbours to stay below
     epsilon/ln 2 bits.  Only that consequence is evaluated here; passing
-    is necessary for DP but does not certify it.
+    is necessary for DP but does not certify it.  A relationship that
+    selects no pair of distinct states leaves nothing to check and is
+    refused.
     """
     if params.delta != 0.0:
         raise UnsupportedModeError(
@@ -369,7 +364,12 @@ def verify_dp_on_ensemble(ch: QuantumChannel, e: Ensemble, params: DpParams) -> 
         )
     threshold = params.epsilon_nats / math.log(2.0)
     outputs = apply_states(ch, e.states)
-    pairs = _neighbour_pairs(e, params.neighbouring)
+    relation = params.neighbouring
+    if not isinstance(relation, (AllPairs, TraceDistanceNeighbours, ExplicitPairs)):
+        raise UnsupportedModeError(f"unknown neighbouring relationship {relation!r}")
+    pairs = relation.select(e)
+    if all(i == j for i, j in pairs):
+        raise ValidationError(f"neighbouring {relation!r} selects no pair of distinct states")
     results = []
     worst = 0.0
     for (i, j), div in zip(pairs, max_relative_entropy_pairs(outputs, pairs)):
@@ -437,18 +437,23 @@ def depolarized_leakage(
     check here: the global cap does not hold for it.  A caller that already
     holds e through `depolarizing_global(p, e.dim)` passes it as `noisy`.
 
-    R is the closed form of `_depolarized_pure_pairwise` when every state
-    of e is pure (one eigenvalue in its kept spectrum's support), 0 < p < 1
-    and no noisy state has a kernel.  Otherwise (a mixed state, p = 1, or a
-    floor p/d under the support threshold) R is `pairwise_leakage`, the
-    eigen route, which decomposes every pair's sandwich and reports that
-    floor as infinite.
+    At p = 1 every noisy state is I/d, so R is exactly 0.0 with the witness
+    `pairwise_leakage` names when every divergence is 0.  Below that, R is
+    the closed form of `_depolarized_pure_pairwise` when every state of e
+    is pure (one eigenvalue in its kept spectrum's support), p > 0 and no
+    noisy state has a kernel.  Otherwise (a mixed state, or a floor p/d
+    under the support threshold) R is `pairwise_leakage`, the eigen route,
+    which decomposes every pair's sandwich and reports that floor as
+    infinite.
     """
     if noisy is None:
         noisy = apply_ensemble(depolarizing_global(p, e.dim), e)
     b = barycentric_leakage(noisy)
-    if (
-        0.0 < p < 1.0
+    if p == 1.0:
+        witness = (0, 1) if e.count > 1 else (0, 0)
+        r = LeakageCertificate(0.0, KIND_PAIRWISE, witness, 0.0, "optimal")
+    elif (
+        p > 0.0
         and all(np.count_nonzero(s.spectrum.support) == 1 for s in e.states)
         and all(s.spectrum.support.all() for s in noisy.states)
     ):

@@ -4,7 +4,9 @@ An ensemble pairs a strictly positive prior over a classical alphabet with
 one density operator per symbol.  Three leakage measures are computed:
 
 * maximal leakage Q: log2 of the optimal guessing-game payoff over all
-  measurements, evaluated through the dominating-operator program;
+  measurements, evaluated through the dominating-operator program; the
+  same program gives the order-infinity sandwiched mutual information, so
+  that quantity is Q itself;
 * barycentric leakage B: log2 of the smallest total weight of a state
   mixture that dominates every ensemble member (the weights program);
 * pairwise leakage R: the largest order-infinity sandwiched divergence
@@ -17,7 +19,7 @@ together with the accessible-information and Holevo inequalities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -37,7 +39,6 @@ from .sdp import SdpSolution, dominating_program, solve, weights_program
 KIND_MAXIMAL = "maximal"
 KIND_BARYCENTRIC = "barycentric"
 KIND_PAIRWISE = "pairwise"
-KIND_SANDWICHED_INF_MI = "sandwiched_inf_mi"
 
 POVM_COMPLETENESS_ATOL = 1e-9
 _CHAIN_SLACK = 1e-6
@@ -152,6 +153,11 @@ class LeakageCertificate:
             raise ValidationError(f"certificate gap {self.gap} is negative")
 
 
+def _ordered_pairs(n: int) -> list[tuple[int, int]]:
+    """Every ordered pair (i, j) of distinct indices below n, in row-major order."""
+    return [(i, j) for i in range(n) for j in range(n) if i != j]
+
+
 def pairwise_leakage(e: Ensemble) -> LeakageCertificate:
     """Largest order-infinity sandwiched divergence over ordered pairs.
 
@@ -159,7 +165,7 @@ def pairwise_leakage(e: Ensemble) -> LeakageCertificate:
     witness names the first offending pair in (i, j) order, or else the
     first maximising one.  The prior plays no role.
     """
-    pairs = [(i, j) for i in range(e.count) for j in range(e.count) if i != j]
+    pairs = _ordered_pairs(e.count)
     best = 0.0
     witness = pairs[0] if pairs else (0, 0)
     for pair, div in zip(pairs, max_relative_entropy_pairs(e.states, pairs)):
@@ -191,11 +197,6 @@ def barycentric_leakage(e: Ensemble) -> LeakageCertificate:
     return _solver_certificate(sol, KIND_BARYCENTRIC, witness)
 
 
-def _dominating_certificate(e: Ensemble, kind: str) -> LeakageCertificate:
-    sol = solve(dominating_program(list(e.states)))
-    return _solver_certificate(sol, kind, sol.primal)
-
-
 def max_leakage(e: Ensemble) -> LeakageCertificate:
     """Maximal leakage: log2 of the optimal guessing-game payoff.
 
@@ -203,19 +204,12 @@ def max_leakage(e: Ensemble) -> LeakageCertificate:
     minimal trace of an operator dominating every state (the programs
     are dual with a strictly feasible interior); the dominating program
     brackets it between a measurement's payoff and the trace of a
-    dominating operator, which is the witness.
+    dominating operator, which is the witness.  The order-infinity
+    sandwiched mutual information of the CQ state is the same program's
+    value, so this certificate is that quantity too.
     """
-    return _dominating_certificate(e, KIND_MAXIMAL)
-
-
-def sandwiched_inf_mutual_information(e: Ensemble) -> LeakageCertificate:
-    """Order-infinity sandwiched mutual information of the CQ state.
-
-    Shares the dominating program with max_leakage; it is reported as its
-    own certificate because the two quantities arise from different
-    definitions even though the programs coincide.
-    """
-    return _dominating_certificate(e, KIND_SANDWICHED_INF_MI)
+    sol = solve(dominating_program(list(e.states)))
+    return _solver_certificate(sol, KIND_MAXIMAL, sol.primal)
 
 
 def povm_leakage(e: Ensemble, m: Povm) -> float:
@@ -254,12 +248,9 @@ def holevo_information(e: Ensemble) -> float:
     return max(chi, 0.0)
 
 
-def _measurement_kernel(e: Ensemble, frame: np.ndarray) -> np.ndarray:
+def _measurement_kernel(rhos: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """Outcome distribution rows P(y|x) = u_y' rho_x u_y for frame columns."""
-    k = np.empty((e.count, frame.shape[1]))
-    for x, s in enumerate(e.states):
-        k[x] = np.real(np.einsum("iy,ij,jy->y", np.conj(frame), s.mat, frame))
-    return np.clip(k, 0.0, None)
+    return np.clip(np.einsum("iy,xij,jy->xy", np.conj(frame), rhos, frame).real, 0.0, None)
 
 
 def _mutual_information_bits(prior: np.ndarray, kernel: np.ndarray) -> float:
@@ -272,7 +263,7 @@ def _mutual_information_bits(prior: np.ndarray, kernel: np.ndarray) -> float:
 
 def _pair_scorer(e: Ensemble, rhos: np.ndarray, frame: np.ndarray, k: int, l: int):
     """The frame's score, and its scores with columns k, l rotated by each (theta, phi)."""
-    prior, kernel = e.prior.probs, _measurement_kernel(e, frame)
+    prior, kernel = e.prior.probs, _measurement_kernel(rhos, frame)
     # With a = [u_k u_l]' rho_x [u_k u_l], column k becomes c^2 a_kk + s^2 a_ll
     # + 2cs Re(e^{i phi} a_kl) and column l s^2 a_kk + c^2 a_ll - 2cs Re(...).
     a = np.conj(frame[:, [k, l]].T) @ rhos @ frame[:, [k, l]]
@@ -313,7 +304,7 @@ def accessible_information_lower(
     rhos = np.array([s.mat for s in e.states])
 
     def score(frame: np.ndarray) -> float:
-        return _mutual_information_bits(prior, _measurement_kernel(e, frame))
+        return _mutual_information_bits(prior, _measurement_kernel(rhos, frame))
 
     def rotate(frame: np.ndarray, k: int, l: int, theta: float, phi: float) -> np.ndarray:
         out = frame.copy()
@@ -391,7 +382,9 @@ class ChainReport:
 
     checks maps each inequality label to its slack (right side minus left
     side plus allowed tolerance); every slack is nonnegative, otherwise
-    the report constructor refused to produce it.
+    the report constructor refused to produce it.  The order-infinity
+    sandwiched mutual information is Q, so `sandwiched_inf` is `maximal`
+    and its check repeats `maximal<=barycentric`.
     """
 
     accessible_lower: float
@@ -414,8 +407,7 @@ def inequality_chain_report(e: Ensemble, restarts: int = 32, seed: int = 0) -> C
     acc, _ = accessible_information_lower(e, restarts=restarts, seed=seed)
     chi = holevo_information(e)
     srm = povm_leakage(e, square_root_measurement(e))
-    q = _dominating_certificate(e, KIND_MAXIMAL)
-    mi_inf = replace(q, kind=KIND_SANDWICHED_INF_MI)
+    q = max_leakage(e)
     b = barycentric_leakage(e)
     r = pairwise_leakage(e)
 
@@ -425,8 +417,8 @@ def inequality_chain_report(e: Ensemble, restarts: int = 32, seed: int = 0) -> C
         "barycentric<=pairwise": r.value - b.value + b.gap + _CHAIN_SLACK,
         "srm<=maximal": q.value + q.gap - srm + _CHAIN_SLACK,
         "maximal<=barycentric": b.value + b.gap - q.value + q.gap + _CHAIN_SLACK,
-        "sandwiched<=barycentric": b.value + b.gap - mi_inf.value + mi_inf.gap + _CHAIN_SLACK,
     }
+    checks["sandwiched<=barycentric"] = checks["maximal<=barycentric"]
     for label, slack in checks.items():
         if math.isnan(slack) or slack < 0.0:
             raise ChainViolationError(
@@ -436,7 +428,7 @@ def inequality_chain_report(e: Ensemble, restarts: int = 32, seed: int = 0) -> C
         accessible_lower=acc,
         holevo=chi,
         srm_povm_leakage=srm,
-        sandwiched_inf=mi_inf,
+        sandwiched_inf=q,
         maximal=q,
         barycentric=b,
         pairwise=r,

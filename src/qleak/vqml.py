@@ -186,9 +186,15 @@ def _noised(model: VariationalModel, channel: QuantumChannel, outputs):
     return apply_states(channel, outputs)
 
 
-def _born_probabilities(model: VariationalModel, rho: DensityOperator) -> ProbVector:
-    probs = np.einsum("kij,ji->k", model.classifier.mats, rho.mat).real
-    return ProbVector(np.clip(probs, 0.0, None))
+def _born_rows(model: VariationalModel, states) -> np.ndarray:
+    """Born-rule class distributions, one row per state, checked as one stack.
+
+    Each row is its own einsum, clipped at 0; a stacked einsum would change
+    their last bits.
+    """
+    mats = model.classifier.mats
+    born = [np.einsum("kij,ji->k", mats, rho.mat).real for rho in states]
+    return _prob_rows(np.clip(born, 0.0, None))
 
 
 def classify_probabilities(
@@ -198,18 +204,12 @@ def classify_probabilities(
     (rho,) = _circuit_outputs(model, [x])
     if channel is not None:
         (rho,) = _noised(model, channel, (rho,))
-    return _born_probabilities(model, rho)
+    return ProbVector(_born_rows(model, (rho,))[0])
 
 
 def _worst_shift(model: VariationalModel, clean, noisy) -> float:
-    """Worst total-variation shift of the class distribution between paired states.
-
-    Each Born distribution is `_born_probabilities`' einsum; a stacked einsum
-    would change their last bits.  They are checked as one stack.
-    """
-    mats = model.classifier.mats
-    born = [np.einsum("kij,ji->k", mats, rho.mat).real for rho in (*clean, *noisy)]
-    probs = _prob_rows(np.clip(born, 0.0, None))
+    """Worst total-variation shift of the class distribution between paired states."""
+    probs = _born_rows(model, (*clean, *noisy))
     shifts = np.abs(probs[: len(clean)] - probs[len(clean) :]).sum(axis=1)
     return float(np.max(shifts, initial=0.0))
 

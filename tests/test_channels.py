@@ -191,13 +191,40 @@ def test_verify_dp_rejects_positive_delta():
         )
 
 
-def test_verify_dp_single_state_passes_vacuously():
+def test_verify_dp_refuses_a_lone_state():
     lone = Ensemble.uniform((DensityOperator.maximally_mixed(2),))
+    for relation in (AllPairs(), TraceDistanceNeighbours(kappa=2.0), ExplicitPairs(((0, 0),))):
+        with pytest.raises(ValidationError, match="selects no pair of distinct states"):
+            verify_dp_on_ensemble(
+                depolarizing_global(0.5, 2), lone,
+                DpParams(epsilon_nats=0.0, neighbouring=relation),
+            )
+
+
+def test_verify_dp_refuses_a_relation_that_selects_no_pair():
+    # The diagonal pair lies 0.5 apart in trace distance.
+    ch, e = depolarizing_global(0.5, 2), _diag_pair()
+    for relation in (TraceDistanceNeighbours(kappa=0.1), ExplicitPairs(((1, 1), (0, 0)))):
+        with pytest.raises(ValidationError) as err:
+            verify_dp_on_ensemble(ch, e, DpParams(epsilon_nats=5.0, neighbouring=relation))
+        assert str(err.value) == (
+            f"neighbouring {relation!r} selects no pair of distinct states"
+        )
+    # A reflexive pair beside a distinct one is checked as listed.
     report = verify_dp_on_ensemble(
-        depolarizing_global(0.5, 2), lone, DpParams(epsilon_nats=0.0)
+        ch, e, DpParams(epsilon_nats=5.0, neighbouring=ExplicitPairs(((0, 0), (0, 1))))
     )
-    assert report.passed
-    assert report.pairs == (report.pairs[0],) and report.pairs[0].divergence_bits == 0.0
+    assert [(r.x, r.x_prime) for r in report.pairs] == [(0, 0), (0, 1)]
+    assert report.pairs[0].divergence_bits == 0.0
+
+
+@pytest.mark.parametrize("relation", [object(), "all_pairs", None])
+def test_verify_dp_rejects_an_object_that_is_not_a_relation(relation):
+    with pytest.raises(UnsupportedModeError, match="unknown neighbouring relationship"):
+        verify_dp_on_ensemble(
+            depolarizing_global(0.5, 2), _diag_pair(),
+            DpParams(epsilon_nats=1.0, neighbouring=relation),
+        )
 
 
 def test_neighbouring_relations_select_pairs():
@@ -354,10 +381,16 @@ def test_depolarized_leakage_takes_the_closed_form_only_where_it_holds(monkeypat
         _, r, _ = depolarized_leakage(e, p)
         assert r == channels_module._depolarized_pure_pairwise(e, p)
     assert routes == []
-    # p = 1 maps every state to I/d times its trace, which is 1 up to roundoff;
-    # the eigen route gives R = 0 up to that roundoff.
-    assert depolarized_leakage(e, 1.0)[1].value <= 1e-15
-    assert len(routes) == 1
+    # p = 1 maps every state to I/d, so R is exactly 0 on any ensemble, with
+    # pairwise_leakage's witness for all-zero divergences and no route taken.
+    # The eigen route on the noisy states reads roundoff there.
+    mixed = Ensemble.uniform((*e.states[:3], DensityOperator.maximally_mixed(8)))
+    for ensemble in (e, mixed, random_ensemble(8, 4, seed=5)):
+        _, r, _ = depolarized_leakage(ensemble, 1.0)
+        assert (r.value, r.witness, r.gap, r.status) == (0.0, (0, 1), 0.0, "optimal")
+    lone = Ensemble.uniform(e.states[:1])
+    assert depolarized_leakage(lone, 1.0)[1].witness == (0, 0)
+    assert routes == []
     # The floor p/d under the support threshold: the noisy states have a
     # kernel, and the eigen route refuses p.
     with pytest.raises(ValidationError) as err:
@@ -366,11 +399,10 @@ def test_depolarized_leakage_takes_the_closed_form_only_where_it_holds(monkeypat
         "depolarizing strength p = 1e-12 is too small to resolve at d = 8: the noise "
         "floor p/d falls under SUPPORT_RTOL = 1e-09 of the top eigenvalue"
     )
-    assert len(routes) == 2
+    assert len(routes) == 1
     # One mixed state sends R to the eigen route.
-    mixed = Ensemble.uniform((*e.states[:3], DensityOperator.maximally_mixed(8)))
     depolarized_leakage(mixed, 0.5)
-    assert len(routes) == 3
+    assert len(routes) == 2
 
 
 def test_full_depolarizing_washes_out_dp_distinctions():

@@ -586,12 +586,11 @@ def test_ragged_matrix_rows_exit_two(tmp_path, capsys):
         ({"kind": "explicit", "pairs": [[0, 1], [0, 1]]}, [("0->1", "0.736966", "FAIL")], "FAIL"),
         ({"kind": "explicit", "pairs": [[1, 0], [0, 1], [1, 0]]},
          [("1->0", "0.736966", "FAIL"), ("0->1", "0.736966", "FAIL")], "FAIL"),
-        ({"kind": "trace_distance", "kappa": 0.1}, [("0->0", "0.000000", "pass")], "PASS"),
         ({"kind": "trace_distance"},
          [("0->1", "0.736966", "FAIL"), ("1->0", "0.736966", "FAIL")], "FAIL"),
     ],
     ids=["explicit", "explicit-repeated", "explicit-repeats-keep-first-order",
-         "trace-distance-near", "trace-distance-default"],
+         "trace-distance-default"],
 )
 def test_dp_check_neighbour_relations_select_rows(tmp_path, capsys, neighbouring, rows, verdict):
     path = tmp_path / "dp.json"
@@ -602,3 +601,28 @@ def test_dp_check_neighbour_relations_select_rows(tmp_path, capsys, neighbouring
     want = [(pair, bits, "0.144270", status) for pair, bits, status in rows]
     assert [tuple(line.split()) for line in lines[2:-2]] == want
     assert lines[-2].startswith(f"overall: {verdict}")
+
+
+@pytest.mark.parametrize(
+    "ensemble, neighbouring, relation",
+    [
+        # The diagonal pair lies 0.5 apart in trace distance.
+        (_pair_doc(), {"kind": "trace_distance", "kappa": 0.1},
+         "TraceDistanceNeighbours(kappa=0.1)"),
+        ({**_pair_doc(), "prior": [1.0], "states": _pair_doc()["states"][:1]},
+         {"kind": "all_pairs"}, "AllPairs()"),
+    ],
+    ids=["trace-distance-near", "lone-state"],
+)
+def test_dp_check_refuses_a_selection_of_no_distinct_pair(
+    tmp_path, capsys, ensemble, neighbouring, relation
+):
+    path = tmp_path / "dp.json"
+    doc = {**_dp_doc(dp={"epsilon_nats": 0.1, "neighbouring": neighbouring}), "ensemble": ensemble}
+    path.write_text(json.dumps(doc))
+    assert main(["dp-check", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: neighbouring {relation} selects no pair of distinct states\n"
+    )

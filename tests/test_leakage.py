@@ -19,7 +19,6 @@ from qleak.leakage import (
     max_leakage,
     pairwise_leakage,
     povm_leakage,
-    sandwiched_inf_mutual_information,
     square_root_measurement,
     _measurement_kernel,
     _mutual_information_bits,
@@ -141,14 +140,14 @@ def test_pair_scorer_matches_the_one_frame_score():
                 angles = rng.uniform([0.0, 0.0], [math.pi / 2, 2 * math.pi], size=(16, 2))
                 angles[:4] = [(0.0, 0.0), (math.pi / 2, 0.0), (0.3, 1e-7), (1e-9, 4.0)]
                 own, batch = _pair_scorer(e, rhos, frame, k, l)
-                assert own == _mutual_information_bits(prior, _measurement_kernel(e, frame))
+                assert own == _mutual_information_bits(prior, _measurement_kernel(rhos, frame))
                 got = batch(angles)
                 for (th, ph), v in zip(angles, got):
                     c, s, z = math.cos(th), math.sin(th), complex(math.cos(ph), math.sin(ph))
                     turned = frame.copy()
                     turned[:, k] = c * frame[:, k] + s * z * frame[:, l]
                     turned[:, l] = -s * np.conj(z) * frame[:, k] + c * frame[:, l]
-                    want = _mutual_information_bits(prior, _measurement_kernel(e, turned))
+                    want = _mutual_information_bits(prior, _measurement_kernel(rhos, turned))
                     assert abs(v - want) <= 1e-13
 
 
@@ -278,11 +277,25 @@ def test_chain_report_orders_every_measure():
 
 
 def test_sandwiched_mutual_information_equals_max_leakage_value():
+    # One dominating program gives Q and the order-infinity sandwiched mutual
+    # information, so the report holds one certificate for both.
     e = random_ensemble(2, 3, seed=91)
-    a = sandwiched_inf_mutual_information(e)
-    b = max_leakage(e)
-    assert a.value == pytest.approx(b.value, abs=1e-12)
-    assert a.kind != b.kind
+    report = inequality_chain_report(e, restarts=2)
+    assert report.sandwiched_inf is report.maximal
+    q = max_leakage(e)
+    assert (report.maximal.value, report.maximal.gap, report.maximal.kind) == (
+        q.value, q.gap, q.kind)
+    assert report.checks["sandwiched<=barycentric"] == report.checks["maximal<=barycentric"]
+
+
+def test_measurement_kernel_equals_one_einsum_per_state():
+    rng = np.random.default_rng(23)
+    for d, n in ((2, 1), (2, 3), (3, 4), (4, 2), (6, 5)):
+        e = random_ensemble(d, n, seed=int(rng.integers(1 << 30)))
+        rhos = np.array([s.mat for s in e.states])
+        frame = random_unitary(d, seed=int(rng.integers(1 << 30)))
+        want = [np.einsum("iy,ij,jy->y", np.conj(frame), s.mat, frame).real for s in e.states]
+        assert _measurement_kernel(rhos, frame).tobytes() == np.clip(want, 0.0, None).tobytes()
 
 
 def test_certificates_carry_their_solver_counts():

@@ -331,12 +331,12 @@ def test_tradeoff_rows_agree_with_rotated_encoded_states(model, inputs, prior):
 def test_tradeoff_r_never_decomposes_a_sandwich_below_p_one(monkeypatch, model, inputs, prior):
     # pairwise_leakage reaches D_max through leakage's binding.  B may still
     # scale an infeasible point by 2^D_max through divergences' own binding
-    # (it does on the one-qubit model), so that one stays.
+    # (it does on the one-qubit model), so that one stays.  At p = 1 every
+    # noisy state is I/d and R is 0.0 with no decomposition either.
     monkeypatch.setattr(leakage_module, "max_relative_entropy_pairs", _refuse_sandwiches)
-    rows = tradeoff_curve(model, inputs, prior, [0.05, 0.3, 0.95])
-    with pytest.raises(AssertionError, match="max_relative_entropy_pairs called"):
-        tradeoff_curve(model, inputs, prior, [1.0])  # p = 1 takes the eigen route
+    rows = tradeoff_curve(model, inputs, prior, [0.05, 0.3, 0.95, 1.0])
     monkeypatch.undo()
+    assert rows[-1].leakage_R == 0.0
     for row in rows:
         _assert_row_equals(row, model, inputs, prior)
 
@@ -355,11 +355,14 @@ def test_born_probabilities_equal_one_trace_per_element():
         model = random_model(1 + seed % 3, layers=1, classes=2 if seed % 2 else None, seed=seed)
         rho = DensityOperator.pure(circuit_unitary(model)[:, seed % model.dim])
         noisy = apply(depolarizing_global(0.3, model.dim), rho)
-        for state in (rho, noisy):
-            want = [float(np.einsum("ij,ji->", f.mat, state.mat).real)
-                    for f in model.classifier.elements]
-            got = vqml_module._born_probabilities(model, state).probs
-            assert got.tolist() == np.clip(want, 0.0, None).tolist()
+        want = [[float(np.einsum("ij,ji->", f.mat, state.mat).real)
+                 for f in model.classifier.elements] for state in (rho, noisy)]
+        got = vqml_module._born_rows(model, (rho, noisy))
+        assert got.tolist() == np.clip(want, 0.0, None).tolist()
+        alone = vqml_module._born_rows(model, (noisy,))
+        assert alone.tolist() == got[1:].tolist()
+        assert classify_probabilities(model, 0).probs.tolist() == vqml_module._born_rows(
+            model, vqml_module._circuit_outputs(model, [0]))[0].tolist()
 
 
 def test_basis_classifier_partitions_identity():
