@@ -232,7 +232,10 @@ def square_root_measurement(e: Ensemble) -> Povm:
     """
     s = HermitianOperator(sum(st.mat for st in e.states))
     root = operator_power(s, -0.5)
-    elements = [HermitianOperator(root.mat @ st.mat @ root.mat) for st in e.states]
+    # A near-singular S inflates each product's roundoff past the Hermitian
+    # input check, so the products are symmetrised, not checked.
+    products = [root.mat @ st.mat @ root.mat for st in e.states]
+    elements = [HermitianOperator((m + m.conj().T) / 2.0) for m in products]
     resolved = sum(el.mat for el in elements)
     leftover = np.eye(e.dim) - resolved
     if float(np.max(np.abs(leftover))) > POVM_COMPLETENESS_ATOL:

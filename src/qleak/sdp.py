@@ -12,15 +12,16 @@ product of quadratic forms, and seeded with the eigenbasis of every state;
 of the cuts sharing a form row, only the one with the largest right-hand
 side is kept, since it implies the others.  Each iteration solves the cut
 relaxation through its LP dual, whose multipliers, rescaled to exact dual
-feasibility, give a certified lower bound; scales the relaxation point by
-2^D_max, the closed-form least factor that makes it dominate every state (a
-certified upper bound); and cuts along every violated eigenspace.  The
-dominating form is the dual of the optimal guessing game and needs no LP: a
-measurement from the minimum-error fixed point, sped up by an extrapolation
-step that is kept only when it pays more than the plain step, gives the
-lower bound, and an operator built from it gives the upper bound.  Both
-stop once the relative gap between the bounds is at most GAP_TOL, and both
-scan their LMIs through one certified stacked eigendecomposition,
+feasibility, give a certified lower bound; scans every LMI at the relaxation
+point once, lifts the point onto the feasible cone by the worst eigenvalue of
+that scan (a certified upper bound), and cuts along every violated
+eigenspace.  The dominating form is the dual of the optimal guessing game and
+needs no LP: a measurement from the minimum-error fixed point, sped up by an
+extrapolation step that is kept only when it pays more than the plain step,
+gives one lower bound; a dominating operator built from it gives the upper
+bound, and that operator rounded to a measurement gives another lower bound.
+Both stop once the relative gap between the bounds is at most GAP_TOL, and
+both scan their LMIs through one certified stacked eigendecomposition,
 `_lmi_spectra`.
 """
 
@@ -32,11 +33,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .divergences import max_relative_entropies
 from .errors import LpSolverError, ValidationError
 from .linalg import (
     DensityOperator,
     HermitianOperator,
+    _power_stack,
     _spectrum_power,
     eig_hermitian,
     eigh_stack,
@@ -125,37 +126,12 @@ class SdpSolution:
         return (self.value - self.lower_bound) / max(1.0, self.value)
 
 
-def _point_matrix(program: LmiProgram, point) -> np.ndarray:
-    """The operator side of every LMI at the given primal point."""
-    if program.form == FORM_WEIGHTS:
-        c = np.asarray(point, dtype=np.float64).reshape(-1)
-        if c.size != program.count:
-            raise ValidationError(f"expected {program.count} weights, got {c.size}")
-        return np.einsum("x,xij->ij", c, program.mats)
-    return HermitianOperator(getattr(point, "mat", point)).mat
-
-
 def _lmi_spectra(program: LmiProgram, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (n, d) and eigenvectors (n, d, d) of a - rho_x, in state order.
 
     One certified stacked decomposition scans every LMI at once.
     """
     return eigh_stack(a - program.mats)
-
-
-def _worst_eigenvalue(program: LmiProgram, a: np.ndarray) -> float:
-    """Most negative LMI eigenvalue at a, or 0 when every LMI holds."""
-    return min(0.0, float(_lmi_spectra(program, a)[0][:, 0].min()))
-
-
-def violation_certificate(program: LmiProgram, point):
-    """Worst LMI at a primal point: (state index, min eigenvalue, eigenvector).
-
-    A min eigenvalue at or above -FEAS_TOL certifies feasibility.
-    """
-    w, v = _lmi_spectra(program, _point_matrix(program, point))
-    idx = int(np.argmin(w[:, 0]))
-    return idx, float(w[idx, 0]), v[idx][:, 0].copy()
 
 
 class _CutPool:
@@ -250,20 +226,17 @@ def _seeded_pool(program: LmiProgram) -> _CutPool:
 _LIFT_PAD = 1e-12
 
 
-def _certify_point(program: LmiProgram, point, obj: float, worst: float | None = None):
-    """Lift near-feasible weights onto the cone so obj upper-bounds the optimum.
+def _certify_point(program: LmiProgram, point, obj: float, worst: float):
+    """Lift weights onto the cone so their total upper-bounds the optimum.
 
-    Relaxation points can violate the LMIs by up to FEAS_TOL, which would
-    let the reported value undercut the true optimum; the lift closes that
-    hole at a cost of at most count * (FEAS_TOL + pad) / mu in objective.
-    `worst` is the point's `_worst_eigenvalue` when the caller has scanned it.
+    `worst` is the least LMI eigenvalue at the point.  Adding
+    (-worst + pad) / mu to every weight raises every LMI by at least
+    -worst + pad on the support of the sum of the states, outside which
+    every LMI vanishes, at a cost of count * (-worst + pad) / mu in objective.
     """
-    if worst is None:
-        worst = _worst_eigenvalue(program, _point_matrix(program, point))
     if worst >= 0.0:
         return obj, point
-    lift = -worst + _LIFT_PAD
-    c = np.asarray(point, dtype=np.float64) + lift / program._repair_rate
+    c = point + (-worst + _LIFT_PAD) / program._repair_rate
     return float(np.sum(c)), c
 
 
@@ -297,8 +270,11 @@ def _solve_dominating(program: LmiProgram) -> SdpSolution:
     starts at the Hermitian part of sum_x rho_x M_x over the same size,
     takes in each state's excess (rho_x - Y)+ in turn, which is exact at
     once on commuting states, and a last shift by the worst LMI eigenvalue
-    plus a pad makes it feasible outright.  Each pass is one iteration of
-    the returned solution.
+    plus a pad makes it feasible outright.  By complementary slackness Y
+    also rounds to a measurement: P_x projects onto the eigenvectors of
+    Y - rho_x with eigenvalue at most 1e-6 tr Y, and M_x = G^-1/2 P_x G^-1/2
+    with G = sum_x P_x on G's support; its payoff is a second lower bound.
+    Each pass is one iteration of the returned solution.
     """
     n, d = program.count, program.dim
     rhos = program.mats
@@ -318,11 +294,19 @@ def _solve_dominating(program: LmiProgram) -> SdpSolution:
             v = spec.eigenvectors
             y = y + (v * np.clip(-spec.eigenvalues, 0.0, None)) @ v.conj().T
         y = HermitianOperator(y).mat
-        worst = _worst_eigenvalue(program, y)
+        w, v = _lmi_spectra(program, y)
+        worst = float(w[:, 0].min())
         if worst < 0.0:
-            y = y + (-worst + _LIFT_PAD) * np.eye(d)
-        if np.trace(y).real < upper:
-            upper, primal = float(np.trace(y).real), HermitianOperator(y)
+            shift = -worst + _LIFT_PAD
+            y, w = y + shift * np.eye(d), w + shift
+        tr_y = float(np.trace(y).real)
+        if tr_y < upper:
+            upper, primal = tr_y, HermitianOperator(y)
+        # Complementary slackness: M_x lives where Y - rho_x vanishes.
+        proj = (v * (w <= 1e-6 * tr_y)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        root = _power_stack(*eigh_stack(proj.sum(axis=0)), -0.5)
+        (rounded,), _ = _payoffs(rhos, (root @ proj @ root)[None])
+        lower = max(lower, float(rounded))
 
         if (upper - lower) / max(1.0, upper) <= GAP_TOL:
             status = STATUS_SOLVED
@@ -358,13 +342,13 @@ def solve(program: LmiProgram) -> SdpSolution:
     The returned value is the certified upper bound and lower_bound a
     certified lower bound, so lower_bound <= optimum <= value always holds.
     In the weights form lower_bound is the last relaxation's dual object,
-    rescaled to exact feasibility (see `_CutPool.solve_relaxation`).  A
-    relaxation point z with A = sum_x z_x rho_x that violates an LMI is
-    scaled by 2^max_x D_max(rho_x || A), the least t with t A >= rho_x for
-    every x; the candidate is then lifted onto the feasible cone before
-    acceptance, so the upper bound never undercuts the optimum by
-    eigensolver roundoff.  A point whose A misses a state's support has an
-    infinite D_max and yields no candidate.
+    rescaled to exact feasibility (see `_CutPool.solve_relaxation`).  Every
+    relaxation point z whose total improves on the best is lifted onto the
+    feasible cone by the least eigenvalue of the LMI scan that also yields
+    its cuts (see `_certify_point`), so the upper bound never undercuts the
+    optimum by a violated LMI or by eigensolver roundoff.  A lower bound
+    above the value by more than 1e-12 relative shows that one of the two
+    is not certified, and raises LpSolverError.
     """
     if program.form == FORM_DOMINATING:
         return _solve_dominating(program)
@@ -386,10 +370,9 @@ def solve(program: LmiProgram) -> SdpSolution:
                 f"last bracket [{lower:.9g}, {best_obj:.9g}]"
             ) from ex
         trace.append(lower)
-        a = _point_matrix(program, z)
         obj = float(np.sum(z))
 
-        w, v = _lmi_spectra(program, a)
+        w, v = _lmi_spectra(program, np.einsum("x,xij->ij", z, program.mats))
         # Cut along the whole violated eigenspace, not just the most
         # negative direction; single cuts crawl on rank-deficient states.
         violated = [
@@ -398,17 +381,9 @@ def solve(program: LmiProgram) -> SdpSolution:
         ]
 
         if 0.0 < obj < best_obj:
-            # A point within FEAS_TOL of feasible keeps scale 1: the lift in
-            # _certify_point repairs it more cheaply than a rounded 2^D_max.
-            if violated:
-                scale, worst = 2.0 ** max(max_relative_entropies(program.states, a)), None
-            else:
-                # z itself, whose LMIs the scan above has just checked.
-                scale, worst = 1.0, min(0.0, float(w[:, 0].min()))
-            if scale * obj < best_obj:
-                cand_obj, cand_point = _certify_point(program, z * scale, scale * obj, worst)
-                if cand_obj < best_obj:
-                    best_obj, best_point = cand_obj, cand_point
+            cand_obj, cand_point = _certify_point(program, z, obj, float(w[:, 0].min()))
+            if cand_obj < best_obj:
+                best_obj, best_point = cand_obj, cand_point
 
         gap = (best_obj - lower) / max(1.0, best_obj)
         if gap <= GAP_TOL:
@@ -425,6 +400,11 @@ def solve(program: LmiProgram) -> SdpSolution:
             status = STATUS_ITERATION_CAP
             break
 
+    if (lower - best_obj) / max(1.0, best_obj) > 1e-12:
+        raise LpSolverError(
+            f"bracket crossed: lower bound {lower:.9g} above value {best_obj:.9g} "
+            f"at iteration {iterations} with {len(pool)} cuts"
+        )
     return SdpSolution(
         value=best_obj,
         primal=best_point,

@@ -13,7 +13,7 @@ import numpy as np
 
 from qleak.divergences import ProbVector
 from qleak.leakage import Ensemble
-from qleak.linalg import HermitianOperator, operator_power, random_density
+from qleak.linalg import DensityOperator, HermitianOperator, operator_power, random_density
 
 
 def brute_force_lp(cost, a_eq, b_eq, tol=1e-9):
@@ -56,6 +56,19 @@ def random_ensemble(dim, count, seed, uniform=False):
         return Ensemble.uniform(tuple(states))
     raw = rng.uniform(0.2, 1.0, size=count)
     return Ensemble(ProbVector(raw / raw.sum()), tuple(states))
+
+
+def nearly_parallel_triple(eps=1e-4):
+    """Three pure states in d = 4 within about eps of e0, under a uniform prior.
+
+    psi0 = e0, psi1 = cos eps e0 + sin eps e1, psi2 proportional to
+    cos eps e0 - 0.5 sin eps e1 + 0.8 sin eps e3.  They are linearly
+    independent, so every weight dominating them is at least 1 and B = log2 3.
+    """
+    c, s = math.cos(eps), math.sin(eps)
+    return Ensemble.uniform(
+        DensityOperator.pure_stack([[1, 0, 0, 0], [c, s, 0, 0], [c, -0.5 * s, 0, 0.8 * s]])
+    )
 
 
 def povm_payoff(e, elements):
@@ -133,6 +146,18 @@ def bloch_grid_payoff(e, directions=10_000):
     dots = bloch @ grid
     payoff = 1.0 + 0.5 * (np.max(dots, axis=0) + np.max(-dots, axis=0))
     return float(np.max(payoff))
+
+
+def worst_lmi_eigenvalue(states, point):
+    """Least eigenvalue of A - rho_x over the states, from numpy.linalg.eigvalsh alone.
+
+    A is sum_x c_x rho_x when point is a weight vector c, else the operator itself.
+    """
+    mats = [s.mat for s in states]
+    a = np.asarray(getattr(point, "mat", point))
+    if a.ndim == 1:
+        a = sum(c * m for c, m in zip(a, mats))
+    return min(float(np.linalg.eigvalsh(a - m)[0]) for m in mats)
 
 
 def diagonal_weights_value(diags):

@@ -15,6 +15,7 @@ from helpers import (
     diagonal_weights_value,
     fixed_point_payoff,
     random_ensemble,
+    worst_lmi_eigenvalue,
 )
 from qleak.channels import (
     apply_ensemble,
@@ -77,9 +78,13 @@ def test_criterion_2_inequality_chain_on_200_seeded_ensembles():
         assert b.value <= rep.pairwise.value + b.gap + slack
         assert rep.srm_povm_leakage <= q.value + slack
         assert q.value <= b.value + q.gap + slack
+        # Each witness dominates every state, checked by numpy.linalg.eigvalsh.
+        assert worst_lmi_eigenvalue(e.states, q.witness) >= -1e-12
+        assert abs(math.log2(np.trace(q.witness.mat).real) - q.value) <= 1e-12
+        assert worst_lmi_eigenvalue(e.states, b.witness * 2.0**b.value) >= -1e-12
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
-    _announce(2, f"200 ensembles, d in 2..4, chain slack 1e-5, {elapsed:.0f}s")
+    _announce(2, f"200 ensembles, d in 2..4, chain slack 1e-5, witnesses checked, {elapsed:.0f}s")
 
 
 def test_criterion_3_leakage_axioms():

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import random_ensemble
+from helpers import nearly_parallel_triple, random_ensemble
 from qleak.channels import apply
 from qleak.cli import (
     SWEEP_HEADER,
@@ -489,6 +489,46 @@ def test_leakage_iteration_cap_exits_three(tmp_path, monkeypatch, capsys):
     assert line.startswith("iteration cap: sandwiched-inf MI ")
     assert "; maximal Q " in line and "barycentric B" not in line
     assert re.search(r"maximal Q \d+\.\d{6} bits, gap \d\.\de[-+]\d\d, 1 iterations(;|$)", line)
+
+
+def _near_duplicate_pair():
+    """Two rank-2 states in d = 4, each a 1% perturbation of one shared factor."""
+    rng = np.random.default_rng(0)
+    base = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    mats = []
+    for _ in range(2):
+        g = base + 0.01 * (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
+        mats.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    return Ensemble.uniform(DensityOperator.stack(mats))
+
+
+def test_leakage_certifies_a_near_duplicate_pair(tmp_path, capsys):
+    # The square-root measurement's elements used to fail the Hermitian
+    # input check here (asymmetry 1.0e-12), so the command exited 2.
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(ensemble_to_json(_near_duplicate_pair())))
+    assert main(["leakage", "--input", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert re.search(r"^barycentric B +\d\.\d{6} +\d\.\d\de-\d\d  weights ", captured.out, re.M)
+
+
+def test_leakage_exits_three_on_a_crossed_bracket(tmp_path, capsys):
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(ensemble_to_json(nearly_parallel_triple())))
+    assert main(["leakage", "--input", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert not re.search(r"^barycentric B .* 0\.00e\+00 ", captured.out, re.M)
+    assert captured.err.startswith(("solver error: bracket crossed: ", "iteration cap: "))
+
+
+def test_leakage_certifies_q_on_a_pair_the_fixed_point_crawled_on(tmp_path, capsys):
+    # Q ran 20,000 passes (about 19 s) and capped here before Y was rounded
+    # to a measurement.
+    path = tmp_path / "pair16.json"
+    path.write_text(json.dumps(ensemble_to_json(random_ensemble(16, 2, seed=7020))))
+    assert main(["leakage", "--input", str(path), "--restarts", "0"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def _angle_spec():

@@ -6,10 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from helpers import diagonal_weights_value, fixed_point_payoff, random_ensemble
+from helpers import (
+    diagonal_weights_value,
+    fixed_point_payoff,
+    nearly_parallel_triple,
+    random_ensemble,
+    worst_lmi_eigenvalue,
+)
 from qleak import linalg, sdp
 from qleak.channels import apply_states, depolarizing_global
-from qleak.errors import EigenSolverError
+from qleak.errors import EigenSolverError, LpSolverError
 from qleak.leakage import Ensemble, barycentric_leakage
 from qleak.linalg import (
     DensityOperator,
@@ -26,7 +32,6 @@ from qleak.sdp import (
     _seeded_pool,
     dominating_program,
     solve,
-    violation_certificate,
     weights_program,
 )
 
@@ -116,8 +121,7 @@ def test_certified_gap_and_feasible_point_on_random_instances():
             assert sol.status == STATUS_SOLVED
             assert sol.relative_gap <= 1e-6 + 1e-12
             assert sol.lower_bound <= sol.value + 1e-12
-            _, worst, _ = violation_certificate(program, sol.primal)
-            assert worst >= -5.0 * FEAS_TOL
+            assert worst_lmi_eigenvalue(e.states, sol.primal) >= -5.0 * FEAS_TOL
             trace = np.array(sol.lower_bound_trace)
             if trace.size > 1:
                 assert float(np.min(np.diff(trace))) >= -1e-7
@@ -213,8 +217,7 @@ def test_weights_form_certifies_past_the_seeding_cap(dim, count, seed):
     assert sol.status == STATUS_SOLVED
     assert sol.relative_gap <= 1e-6 + 1e-12
     assert sol.lower_bound <= sol.value
-    _, worst, _ = violation_certificate(program, sol.primal)
-    assert worst >= -5 * FEAS_TOL
+    assert worst_lmi_eigenvalue(program.states, sol.primal) >= -5 * FEAS_TOL
 
 
 # Ensembles on which the earlier cutting-plane form of Q failed or crawled:
@@ -232,13 +235,35 @@ def test_dominating_form_certifies_past_dimension_four(dim, count, seed):
         assert sol.lower_bound <= exact <= sol.value
 
 
+# Two-state ensembles on which the fixed point alone ran all 20,000 passes
+# (18-49 s) and stopped as iteration_cap with an exact upper value and a
+# lagging lower bound; the measurement rounded from Y closes them at once.
+@pytest.mark.parametrize("dim, seed", [(16, 7020), (16, 7012), (32, 7012)])
+def test_dominating_form_closes_from_its_rounded_operator(dim, seed):
+    e = random_ensemble(dim, 2, seed=seed)
+    sol = solve(dominating_program(e.states))
+    assert sol.status == STATUS_SOLVED
+    assert sol.lower_bound <= 1.0 + trace_distance(*e.states) / 2.0 <= sol.value
+
+
+def test_weights_form_never_reports_a_crossed_bracket():
+    # B is exactly 3 here, and a value judged at the support threshold can
+    # fall below a certified lower bound; such a bracket is refused.
+    try:
+        sol = solve(weights_program(nearly_parallel_triple().states))
+    except LpSolverError as ex:
+        assert str(ex).startswith("bracket crossed: lower bound ")
+    else:
+        assert sol.lower_bound <= sol.value * (1.0 + 1e-12)
+        assert sol.status != STATUS_SOLVED or sol.value >= 3.0 * (1.0 - 1e-6)
+
+
 def test_dominating_form_certifies_at_dimension_sixty_four():
     e = random_ensemble(64, 4, seed=0)
     sol = solve(dominating_program(e.states))
     assert sol.status == STATUS_SOLVED
     assert sol.lower_bound <= sol.value
-    _, worst, _ = violation_certificate(dominating_program(e.states), sol.primal)
-    assert worst >= 0.0
+    assert worst_lmi_eigenvalue(e.states, sol.primal) >= 0.0
 
 
 def test_dominating_iteration_cap_keeps_an_honest_bracket(monkeypatch):
@@ -248,8 +273,7 @@ def test_dominating_iteration_cap_keeps_an_honest_bracket(monkeypatch):
     assert sol.status == STATUS_ITERATION_CAP
     assert sol.iterations == 1
     assert sol.lower_bound <= sol.value
-    _, worst, _ = violation_certificate(dominating_program(e.states), sol.primal)
-    assert worst >= 0.0
+    assert worst_lmi_eigenvalue(e.states, sol.primal) >= 0.0
 
 
 def test_weights_cut_cap_keeps_an_honest_bracket(monkeypatch):
@@ -261,8 +285,7 @@ def test_weights_cut_cap_keeps_an_honest_bracket(monkeypatch):
     assert sol.status == STATUS_ITERATION_CAP
     assert sol.iterations == 1 and sol.cut_count == seeded
     assert sol.lower_bound <= sol.value
-    _, worst, _ = violation_certificate(program, sol.primal)
-    assert worst >= -5 * FEAS_TOL
+    assert worst_lmi_eigenvalue(program.states, sol.primal) >= -5 * FEAS_TOL
 
 
 def test_weights_cut_cap_counts_only_cuts_beyond_the_seeded_pool(monkeypatch):
