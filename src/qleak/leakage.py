@@ -89,6 +89,12 @@ class Ensemble:
         return DensityOperator.from_matrix(mat)
 
 
+def _check_resolves_identity(mats: np.ndarray) -> None:
+    """Raise unless the stack (count, d, d) sums to the identity within POVM_COMPLETENESS_ATOL."""
+    if float(np.max(np.abs(mats.sum(axis=0) - np.eye(mats.shape[-1])))) > POVM_COMPLETENESS_ATOL:
+        raise ValidationError("POVM elements do not resolve the identity")
+
+
 @dataclass(frozen=True)
 class Povm:
     """A measurement: positive elements summing to the identity.
@@ -110,8 +116,26 @@ class Povm:
         _, w, v = _checked_stack(self.mats, "POVM element", False)
         for f, wi, vi in zip(elements, w, v):
             f._keep(wi, vi)
-        if float(np.max(np.abs(self.mats.sum(axis=0) - np.eye(dim)))) > POVM_COMPLETENESS_ATOL:
-            raise ValidationError("POVM elements do not resolve the identity")
+        _check_resolves_identity(self.mats)
+
+    @staticmethod
+    def stack(mats) -> "Povm":
+        """A POVM on the matrices of a stack (count, d, d), validated and decomposed together.
+
+        The stack passes the checks of `Povm(...)` in one `_checked_stack`
+        call, and each element keeps its slice of the certified
+        decomposition; a failure raises what `Povm(...)` raises on the same
+        matrices.
+        """
+        a = np.asarray(mats, dtype=np.complex128)
+        if not len(a):
+            raise ValidationError("POVM needs at least one element")
+        sym, w, v = _checked_stack(a, "POVM element", False)
+        _check_resolves_identity(sym)
+        povm = object.__new__(Povm)
+        object.__setattr__(povm, "elements", tuple(map(HermitianOperator._kept, sym, w, v)))
+        povm.__dict__["mats"] = sym
+        return povm
 
     @property
     def dim(self) -> int:

@@ -8,18 +8,21 @@ inequalities built from a list of constraint states:
 
 The weights form runs cutting planes: its inequalities are relaxed to cuts
 v' (.) v >= v' rho_x' v, entered one eigenbasis at a time from one batched
-product of quadratic forms, and seeded with the eigenbasis of every state;
-of the cuts sharing a form row, only the one with the largest right-hand
-side is kept, since it implies the others.  Each iteration solves the cut
-relaxation through its LP dual, whose multipliers, rescaled to exact dual
-feasibility, give a certified lower bound; scans every LMI at the relaxation
-point once, lifts the point onto the feasible cone by the worst eigenvalue of
-that scan (a certified upper bound), and cuts along every violated
-eigenspace.  The dominating form is the dual of the optimal guessing game and
-needs no LP: a measurement from the minimum-error fixed point, sped up by an
-extrapolation step that is kept only when it pays more than the plain step,
-gives one lower bound; a dominating operator built from it gives the upper
-bound, and that operator rounded to a measurement gives another lower bound.
+product of quadratic forms, and seeded with the eigenbasis of every state,
+whose distinct eigenvectors have their forms taken once; of the cuts
+sharing a form row, only the one with the largest right-hand side is kept,
+since it implies the others.  Each iteration solves the cut relaxation
+through its LP dual, the first from a crash basis of each state's own
+largest cut and the rest from the last basis; the multipliers, rescaled to
+exact dual feasibility, give a certified lower bound.  It then scans every
+LMI at the relaxation point once, lifts the point onto the feasible cone by
+the worst eigenvalue of that scan (a certified upper bound), and cuts along
+every violated eigenspace.  The dominating form is the dual of the optimal
+guessing game and needs no LP: a measurement from the minimum-error fixed
+point, sped up by an extrapolation step that is kept only when it pays more
+than the plain step, gives one lower bound; a dominating operator built from
+it gives the upper bound, and that operator rounded to a measurement gives
+another lower bound.
 Both stop once the relative gap between the bounds is at most GAP_TOL, and
 both scan their LMIs through one certified stacked eigendecomposition,
 `_lmi_spectra`.
@@ -140,46 +143,72 @@ class _CutPool:
     A whole eigenbasis is cut at once: one batched product gives every
     column's quadratic forms against the states stack, and one rounding
     gives the bytes that key every column's cut.  The pool keeps one cut per
-    distinct row, so states sharing an eigenbasis seed d cuts, not n d.
+    distinct row, so states sharing an eigenbasis seed d cuts, not n d, and
+    records each kept cut's owner, the state whose right-hand side it
+    carries.
     """
 
     def __init__(self, program: LmiProgram):
         self.stack = program.mats
         self.rows: list[np.ndarray] = []
         self.rhs: list[float] = []
+        self.owners: list[int] = []
         self._seen: dict[bytes, tuple[int, float]] = {}  # key -> (position, rounded rhs)
         self._warm: list[int] | None = None
 
-    def add(self, basis: np.ndarray, idx: int) -> int:
-        """Cut v'(.)v >= v' rho_idx v for every column v of the basis.
+    def forms(self, basis: np.ndarray) -> np.ndarray:
+        """forms[k, x] = v_k' rho_x v_k for every column v_k of basis and every state."""
+        return np.einsum("xkj,jk->kx", basis.conj().T @ self.stack, basis).real
 
-        Columns go in order.  A new row is appended; a known row is replaced
-        in place, row and right-hand side, by a cut whose rounded right-hand
-        side is larger, and skipped otherwise.  Returns the cuts added or replaced.
+    def add(self, basis: np.ndarray, idx: int) -> int:
+        """Cut v'(.)v >= v' rho_idx v for every column v of the basis (see `keep`)."""
+        return self.keep(self.forms(basis), idx)
+
+    def keep(self, forms: np.ndarray, idx: int) -> int:
+        """Enter the cuts of state idx whose rows are the rows of forms.
+
+        Rows go in order.  A new row is appended; a known row is replaced
+        in place, row, right-hand side and owner, by a cut whose rounded
+        right-hand side is larger, and skipped otherwise.  Returns the cuts
+        added or replaced.
         """
-        # forms[k, x] = v_k' rho_x v_k for every column and every state.
-        forms = np.einsum("xkj,jk->kx", basis.conj().T @ self.stack, basis).real
         # Row k of the rounded forms keys its cut; -0.0 and 0.0 stay distinct.
         rounded = np.round(forms, 9)
         keys = rounded.tobytes()
         width = forms.shape[1] * forms.itemsize
         added = 0
-        for k, row in enumerate(forms):
+        for k, new in enumerate(rounded[:, idx].tolist()):
             key = keys[k * width : (k + 1) * width]
             at, top = self._seen.get(key, (len(self.rows), -math.inf))
-            if rounded[k, idx] <= top:
+            if new <= top:
                 continue
-            self._seen[key] = (at, rounded[k, idx])
+            self._seen[key] = (at, new)
+            row = forms[k]
             if at == len(self.rows):
                 self.rows.append(row)
                 self.rhs.append(float(row[idx]))
+                self.owners.append(idx)
             else:
-                self.rows[at], self.rhs[at] = row, float(row[idx])
+                self.rows[at], self.rhs[at], self.owners[at] = row, float(row[idx]), idx
             added += 1
         return added
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def _crash(self) -> list[int]:
+        """A starting basis that names a vertex: each state's kept cut with the largest rhs.
+
+        A state that owns no cut keeps its slack column.  On the noisy basis
+        states of the default tradeoff model this is the optimal vertex, so
+        the LP makes no pivot.
+        """
+        m = len(self.stack)
+        basis, top = list(range(m)), [-math.inf] * m
+        for k, (x, r) in enumerate(zip(self.owners, self.rhs)):
+            if r > top[x]:
+                basis[x], top[x] = m + k, r
+        return basis
 
     def solve_relaxation(self) -> tuple[float, np.ndarray]:
         """A certified lower bound from the LP dual, and the relaxation point.
@@ -194,15 +223,18 @@ class _CutPool:
         h = np.asarray(self.rhs)
         # dual: max h.lam s.t. G'.lam <= 1, lam >= 0.  Slack columns come
         # first so their indices survive cut growth, and with b = 1 they
-        # are a feasible basis: a cold solve starts there, and so does the
-        # one retry of a warm start that fails.
+        # are a feasible basis.  A warm solve starts at the last basis and a
+        # cold one at the crash basis (Bixby, ORSA J. Comput. 4, 267, 1992),
+        # see `_crash`; a start that is refused or fails is retried once
+        # from the slacks.
         m = len(self.stack)
         a_eq = np.hstack([np.eye(m), g.T])
         cost = np.concatenate([np.zeros(m), -h])
         b_eq = np.ones(m)
         slack = list(range(m))
-        res = resume_phase2(cost, a_eq, b_eq, self._warm or slack)
-        if res.status != STATUS_OPTIMAL and self._warm is not None:
+        start = self._warm or self._crash()
+        res = resume_phase2(cost, a_eq, b_eq, start)
+        if res.status != STATUS_OPTIMAL and start != slack:
             res = resume_phase2(cost, a_eq, b_eq, slack)
         if res.status != STATUS_OPTIMAL:
             raise LpSolverError(f"cut relaxation LP returned {res.status}")
@@ -214,10 +246,32 @@ class _CutPool:
 
 
 def _seeded_pool(program: LmiProgram) -> _CutPool:
-    """A pool holding the eigenbasis cuts of every state."""
+    """A pool holding the eigenbasis cuts of every state.
+
+    Each distinct eigenvector column (equal bytes) has its forms taken once,
+    in blocks of at most d columns, so no product outgrows the one that a
+    single basis makes; every state's columns then go through
+    `_CutPool.keep` in order, as `_CutPool.add` would enter them.
+    """
     pool = _CutPool(program)
-    for idx, state in enumerate(program.states):
-        pool.add(eig_hermitian(state).eigenvectors, idx)
+    d = program.dim
+    bases = [eig_hermitian(s).eigenvectors for s in program.states]
+    width = d * bases[0].itemsize
+    # Entry x d + k of which is the distinct position of column k of state x.
+    first: dict[bytes, int] = {}
+    which = np.array([
+        first.setdefault(raw[k * width : (k + 1) * width], len(first))
+        for raw in (b.T.tobytes() for b in bases)
+        for k in range(d)
+    ])
+    del first  # its keys go before the products, so the peak stays one basis product
+    flat = np.unique(which, return_index=True)[1]  # each distinct column's first entry
+    forms = np.concatenate([
+        pool.forms(np.stack([bases[i // d][:, i % d] for i in flat[at : at + d]], axis=1))
+        for at in range(0, len(flat), d)
+    ])
+    for idx, rows in enumerate(which.reshape(-1, d)):
+        pool.keep(forms[rows], idx)
     return pool
 
 

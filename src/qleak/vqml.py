@@ -19,7 +19,7 @@ from .channels import QuantumChannel, apply_states, depolarized_leakage, depolar
 from .divergences import ProbVector, _prob_rows
 from .errors import ChainViolationError, DimensionMismatch, ValidationError
 from .leakage import Ensemble, LeakageCertificate, Povm
-from .linalg import DensityOperator, HermitianOperator
+from .linalg import DensityOperator
 
 MAX_QUBITS = 6
 _UNITARY_ATOL = 1e-9
@@ -119,6 +119,8 @@ def circuit_unitary(model: VariationalModel) -> np.ndarray:
     """U_theta: layers applied in order, later layers acting after earlier."""
     k = model.qubits
     u = np.eye(model.dim, dtype=np.complex128)
+    if not model.layers:
+        return u
     ring = _entangling_ring(k)
     for layer in model.layers:
         block = np.eye(model.dim, dtype=np.complex128)
@@ -281,15 +283,15 @@ def tradeoff_curve(model: VariationalModel, inputs, prior, p_grid) -> list[Trade
 
 
 def basis_classifier(qubits: int, classes: int | None = None) -> Povm:
-    """Basis projectors grouped round-robin into `classes` outcomes."""
+    """Basis projectors grouped round-robin into `classes` outcomes, validated as one stack."""
     d = _qubit_dim(qubits)
     classes = d if classes is None else int(classes)
     if not 1 <= classes <= d:
         raise ValidationError(f"class count {classes} outside 1..{d}")
-    mats = [np.zeros((d, d), dtype=np.complex128) for _ in range(classes)]
-    for x in range(d):
-        mats[x % classes][x, x] = 1.0
-    return Povm(tuple(HermitianOperator(m) for m in mats))
+    mats = np.zeros((classes, d, d), dtype=np.complex128)
+    x = np.arange(d)
+    mats[x % classes, x, x] = 1.0
+    return Povm.stack(mats)
 
 
 def random_model(

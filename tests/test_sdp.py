@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -406,4 +407,99 @@ def test_depolarized_basis_states_keep_one_cut_per_basis_vector(monkeypatch, d):
     assert cert.status == STATUS_SOLVED and cert.iterations == 1
     # Within its gap, plus the rounding of the closed form (the margin is 4e-16 at d = 16).
     assert abs(cert.value - math.log2(d * (1 - p) + p)) <= cert.gap + 1e-12
-    assert sum(pivots) <= d
+    # Each state owns the cut of its own basis vector, so the crash basis is
+    # the optimal vertex (from the slack basis this took d pivots).
+    assert sum(pivots) == 0
+
+
+def _per_state_pool(program):
+    """The pool that one `add` call per state makes, in state order."""
+    pool = sdp._CutPool(program)
+    for idx, state in enumerate(program.states):
+        pool.add(eig_hermitian(state).eigenvectors, idx)
+    return pool
+
+
+def _assert_same_pool(got, want):
+    assert [row.tobytes() for row in got.rows] == [row.tobytes() for row in want.rows]
+    assert np.array(got.rhs).tobytes() == np.array(want.rhs).tobytes()
+    assert got.owners == want.owners
+    assert list(got._seen.items()) == list(want._seen.items())
+
+
+def test_seeded_pool_equals_per_state_cuts_on_criterion_2_ensembles():
+    for i in range(200):
+        program = weights_program(random_ensemble(2 + i % 3, 2 + i % 4, seed=1000 + i).states)
+        _assert_same_pool(_seeded_pool(program), _per_state_pool(program))
+
+
+def _shared_eigenbasis_stacks():
+    for d in (2, 4, 8, 16):
+        basis = DensityOperator.pure_stack(np.eye(d))
+        for p in (0.05, 0.3, 1.0):
+            yield f"depolarized-basis-{d}-{p}", d, apply_states(depolarizing_global(p, d), basis)
+    # One spectrum in a different order on each state: the states share
+    # their eigenvectors, but each lists them in its own order.
+    rng = np.random.default_rng(0)
+    w = rng.uniform(0.1, 1.0, 6)
+    diags = [np.diag(rng.permutation(w / w.sum())) for _ in range(5)]
+    yield "permuted-spectra", 6, DensityOperator.stack(np.array(diags, dtype=np.complex128))
+
+
+@pytest.mark.parametrize(
+    "d, states", [case[1:] for case in _shared_eigenbasis_stacks()],
+    ids=[case[0] for case in _shared_eigenbasis_stacks()],
+)
+def test_seeded_pool_forms_each_shared_eigenvector_once(monkeypatch, d, states):
+    program = weights_program(states)
+    want = _per_state_pool(program)
+    widths = []
+    real = sdp._CutPool.forms
+
+    def counted(self, basis):
+        widths.append(basis.shape[1])
+        return real(self, basis)
+
+    monkeypatch.setattr(sdp._CutPool, "forms", counted)
+    got = _seeded_pool(program)
+    assert widths == [d]  # n d columns, d of them distinct
+    _assert_same_pool(got, want)
+
+
+def test_seeded_pool_memory_peak_stays_at_one_basis_product():
+    program = weights_program(random_ensemble(64, 16, seed=5).states)
+    program.mats  # built before tracing: the program keeps it
+    tracemalloc.start()
+    try:
+        _seeded_pool(program)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # All 1,024 columns are distinct.  Seeding one state at a time peaked at
+    # 1.8 MB; forming every column in one product read 21 MB.
+    assert peak < 2_000_000
+
+
+def test_a_refused_crash_start_is_retried_from_the_slack_basis(monkeypatch):
+    program = weights_program(random_ensemble(2, 2, seed=6).states)
+    starts = []
+    real = sdp.resume_phase2
+
+    def recorded(cost, a_eq, b_eq, basis):
+        res = real(cost, a_eq, b_eq, basis)
+        starts.append((list(basis), res.status))
+        return res
+
+    monkeypatch.setattr(sdp, "resume_phase2", recorded)
+    crashed = solve(program)
+    # The crash basis holds each state's cut of largest rhs, columns 3 and 5
+    # after the two slacks; it puts -1.3 on the first of them here, so the
+    # first relaxation starts again at the slacks.
+    (crash, refused), (slack, status) = starts[:2]
+    assert crash == [3, 5] and refused != "optimal"
+    assert (slack, status) == ([0, 1], "optimal")
+    monkeypatch.setattr(sdp._CutPool, "_crash", lambda self: list(range(len(self.stack))))
+    plain = solve(program)
+    assert (crashed.value, crashed.lower_bound, crashed.iterations, crashed.cut_count) == (
+        plain.value, plain.lower_bound, plain.iterations, plain.cut_count
+    )

@@ -114,9 +114,14 @@ def test_circuit_unitary_is_unitary_for_random_models():
         assert np.allclose(u.conj().T @ u, np.eye(2**k), atol=1e-9)
 
 
-def test_layerless_circuit_is_identity():
+def test_layerless_circuit_is_identity(monkeypatch):
     model = VariationalModel(2, BasisEncoding(), (), basis_classifier(2))
-    assert np.allclose(circuit_unitary(model), np.eye(4), atol=1e-12)
+
+    def refuse(k):
+        raise AssertionError("a circuit with no layers built its CNOT ring")
+
+    monkeypatch.setattr(vqml_module, "_entangling_ring", refuse)
+    assert np.array_equal(circuit_unitary(model), np.eye(4, dtype=np.complex128))
 
 
 def test_degradation_examples():
@@ -372,6 +377,77 @@ def test_basis_classifier_partitions_identity():
     assert np.allclose(total, np.eye(4), atol=1e-12)
     with pytest.raises(ValidationError):
         basis_classifier(1, classes=3)
+
+
+def _per_element_classifier(qubits, classes):
+    """The basis classifier built one element at a time, then checked as a POVM."""
+    d = 2**qubits
+    mats = [np.zeros((d, d), dtype=np.complex128) for _ in range(classes)]
+    for x in range(d):
+        mats[x % classes][x, x] = 1.0
+    return Povm(tuple(HermitianOperator(m) for m in mats))
+
+
+@pytest.mark.parametrize("qubits", range(1, 7))
+def test_basis_classifier_equals_the_per_element_build(qubits):
+    d = 2**qubits
+    for classes in sorted({1, 2, min(3, d), d}):
+        got, want = basis_classifier(qubits, classes), _per_element_classifier(qubits, classes)
+        assert got.mats.tobytes() == want.mats.tobytes()
+        assert len(got.elements) == len(want.elements) == classes
+        for f, g in zip(got.elements, want.elements):
+            assert f.mat.tobytes() == g.mat.tobytes()
+            assert f.spectrum.eigenvalues.tobytes() == g.spectrum.eigenvalues.tobytes()
+            assert f.spectrum.eigenvectors.tobytes() == g.spectrum.eigenvectors.tobytes()
+
+
+def test_basis_classifier_validates_its_elements_as_one_stack(monkeypatch):
+    calls = []
+    for name in ("_hermitian_stack", "eigh_stack"):
+        real = getattr(linalg_module, name)
+
+        def counted(a, name=name, real=real):
+            calls.append((name, np.shape(a)))
+            return real(a)
+
+        monkeypatch.setattr(linalg_module, name, counted)
+    basis_classifier(3, classes=3)
+    # Element by element, each matrix was symmetrised once more on its own.
+    assert calls == [("_hermitian_stack", (3, 8, 8)), ("eigh_stack", (3, 8, 8))]
+
+
+def test_povm_stack_raises_what_povm_raises():
+    skew = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(np.complex128)
+    skew[1, 0, 1] = 0.1
+    short = np.stack([np.eye(2) * 0.5, np.eye(2) * 0.4]).astype(np.complex128)
+    negative = np.stack([np.diag([1.2, 1.0]), np.diag([-0.2, 0.0])]).astype(np.complex128)
+    for mats in (skew, short, negative):
+        with pytest.raises(ValidationError) as by_element:
+            Povm(tuple(HermitianOperator(m) for m in mats))
+        with pytest.raises(ValidationError) as by_stack:
+            Povm.stack(mats)
+        assert str(by_stack.value) == str(by_element.value)
+
+
+@pytest.mark.parametrize("qubits", range(1, 7))
+def test_basis_model_tradeoff_makes_no_simplex_pivot(monkeypatch, qubits):
+    # Every noisy output is diagonal in the computational basis, and each
+    # owns the cut of its own basis vector, so B's first LP starts at its
+    # optimal vertex and closes there.
+    model = VariationalModel(qubits, BasisEncoding(), (), basis_classifier(qubits))
+    d = model.dim
+    pivots = []
+    real = sdp_module.resume_phase2
+
+    def counted(*args):
+        res = real(*args)
+        pivots.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(sdp_module, "resume_phase2", counted)
+    rows = tradeoff_curve(model, list(range(d)), [1 / d] * d, [0.05, 0.37, 1.0])
+    assert pivots == [0, 0, 0]
+    assert [row.barycentric.iterations for row in rows] == [1, 1, 1]
 
 
 def test_custom_povm_classifier_roundtrips():
