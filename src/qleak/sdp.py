@@ -17,12 +17,14 @@ largest cut and the rest from the last basis; the multipliers, rescaled to
 exact dual feasibility, give a certified lower bound.  It then scans every
 LMI at the relaxation point once, lifts the point onto the feasible cone by
 the worst eigenvalue of that scan (a certified upper bound), and cuts along
-every violated eigenspace.  The dominating form is the dual of the optimal
-guessing game and needs no LP: a measurement from the minimum-error fixed
-point, sped up by an extrapolation step that is kept only when it pays more
-than the plain step, gives one lower bound; a dominating operator built from
-it gives the upper bound, and that operator rounded to a measurement gives
-another lower bound.
+every eigenvector whose LMI eigenvalue lies below -1e-12, the lift's pad,
+since the lift pays for any violation past it, however small.  The
+dominating form is the dual of the optimal guessing game and needs no LP:
+a measurement from the minimum-error fixed point, sped up by an
+extrapolation step that is kept only when it pays more than the plain step,
+gives one lower bound; a dominating operator built from it gives the upper
+bound, and that operator rounded to a measurement gives another lower
+bound.
 Both stop once the relative gap between the bounds is at most GAP_TOL, and
 both scan their LMIs through one certified stacked eigendecomposition,
 `_lmi_spectra`.
@@ -55,6 +57,7 @@ STATUS_ITERATION_CAP = "iteration_cap"
 
 # Every solve stops once (value - lower_bound) / max(1, value) <= GAP_TOL.
 GAP_TOL = 1e-6
+# Roundoff allowed when checking a returned witness against its LMIs.
 FEAS_TOL = 1e-9
 # Cuts beyond the seeded eigenbasis pool past which the weights form stops
 # as iteration_cap.
@@ -93,14 +96,17 @@ class LmiProgram:
 
     @cached_property
     def _repair_rate(self) -> float:
-        """mu, the least eigenvalue of the sum of the states on its support (1.0 if none).
+        """mu, the least eigenvalue of the sum of the states above roundoff (1.0 if none).
 
         Adding eps to every weight adds eps * (sum of states), so mu bounds
         the rate at which that repairs an LMI; kernel directions are
-        annihilated by every state, so no violation can live there.
+        annihilated by every state, so no violation can live there.  Only
+        eigenvalues at most 64 eps times the largest count as kernel: a
+        small but real one, even below the support rule's SUPPORT_RTOL,
+        carries violations that the lift must repair.
         """
-        total = eig_hermitian(HermitianOperator(sum(s.mat for s in self.states)))
-        on = total.eigenvalues[total.support]
+        w = eig_hermitian(HermitianOperator(sum(s.mat for s in self.states))).eigenvalues
+        on = w[w > 64.0 * np.finfo(np.float64).eps * w[-1]]
         return float(on[0]) if on.size else 1.0
 
 
@@ -276,7 +282,8 @@ def _seeded_pool(program: LmiProgram) -> _CutPool:
 
 
 # Safety pad applied when lifting a point onto the cone, covering
-# eigensolver roundoff so the lifted point is feasible outright.
+# eigensolver roundoff so the lifted point is feasible outright; it is
+# also the cut threshold (see `solve`).
 _LIFT_PAD = 1e-12
 
 
@@ -400,9 +407,12 @@ def solve(program: LmiProgram) -> SdpSolution:
     relaxation point z whose total improves on the best is lifted onto the
     feasible cone by the least eigenvalue of the LMI scan that also yields
     its cuts (see `_certify_point`), so the upper bound never undercuts the
-    optimum by a violated LMI or by eigensolver roundoff.  A lower bound
-    above the value by more than 1e-12 relative shows that one of the two
-    is not certified, and raises LpSolverError.
+    optimum by a violated LMI or by eigensolver roundoff.  Every eigenvector
+    of that scan with eigenvalue below -_LIFT_PAD becomes a cut, since the
+    lift pays count * |w| / mu for it and mu is small on near-duplicate
+    states; a coarser threshold would leave such violations uncut and the
+    gap open.  A lower bound above the value by more than 1e-12 relative
+    shows that one of the two is not certified, and raises LpSolverError.
     """
     if program.form == FORM_DOMINATING:
         return _solve_dominating(program)
@@ -430,8 +440,8 @@ def solve(program: LmiProgram) -> SdpSolution:
         # Cut along the whole violated eigenspace, not just the most
         # negative direction; single cuts crawl on rank-deficient states.
         violated = [
-            (idx, v[idx][:, w[idx] < -FEAS_TOL])
-            for idx in np.flatnonzero(w[:, 0] < -FEAS_TOL).tolist()
+            (idx, v[idx][:, w[idx] < -_LIFT_PAD])
+            for idx in np.flatnonzero(w[:, 0] < -_LIFT_PAD).tolist()
         ]
 
         if 0.0 < obj < best_obj:

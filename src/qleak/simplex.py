@@ -1,12 +1,13 @@
 """Dense primal simplex for small standard-form programs.
 
 Solves min c'x subject to A x = b, x >= 0, starting from a primal-feasible
-basis the caller supplies (there is no phase 1).  Entering columns follow
-Bland's rule (lowest eligible index); the leaving row takes the largest
-pivot element among minimum-ratio ties, which keeps divisions away from
-noise-scale entries on degenerate vertices.  The tableau is periodically
-rebuilt from the original data so roundoff cannot accumulate, and a final
-residual check refuses to report a corrupted vertex as optimal.
+basis the caller supplies (there is no phase 1).  Every pivot follows
+Bland's rule (Math. Oper. Res. 2, 103, 1977): the lowest-index improving
+column enters and, among minimum-ratio ties, the row whose basic variable
+has the lowest index leaves, so no basis repeats and the walk terminates on
+degenerate vertices too.  The tableau is periodically rebuilt from the
+original data so roundoff cannot accumulate, and a final residual check
+refuses to report a corrupted vertex as optimal.
 """
 
 from __future__ import annotations
@@ -21,13 +22,6 @@ ENTERING_TOL = 1e-11
 # test; dividing by anything smaller amplifies tableau noise past repair.
 _RATIO_TOL = 1e-9
 _REFACTOR_EVERY = 64
-# Consecutive non-improving pivots tolerated before the degenerate-face
-# escape kicks in (coarse optimality check, then Bland tie-breaking).
-_STALL_LIMIT = 256
-# Near-duplicate columns can leave noise-level reduced costs on a huge
-# optimal face; once the walk stalls, accepting this looser certificate
-# ends it while moving the objective by far less than any caller cares.
-_COARSE_TOL = 1e-9
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -66,9 +60,6 @@ def _pivot_loop(tab, basis, cost, ext, rhs):
     max_iterations = 200 * (m + n + 10)
     iters = 0
     since_refactor = 0
-    stall = 0
-    stalled_mode = False
-    prev_obj = np.inf
     while True:
         if since_refactor >= _REFACTOR_EVERY:
             if _refactor(tab, basis, ext, rhs):
@@ -84,34 +75,20 @@ def _pivot_loop(tab, basis, cost, ext, rhs):
                 reduced = cost - cost[basis] @ tab[:, :n]
                 candidates = np.flatnonzero(reduced < -ENTERING_TOL)
         if candidates.size == 0:
-            return "optimal", iters
-        if stall >= _STALL_LIMIT:
-            if _refactor(tab, basis, ext, rhs):
-                since_refactor = 0
-                reduced = cost - cost[basis] @ tab[:, :n]
-                candidates = np.flatnonzero(reduced < -ENTERING_TOL)
-                if candidates.size == 0:
-                    return "optimal", iters
-            if float(np.min(reduced)) >= -_COARSE_TOL:
-                return "optimal", iters
-            stall = 0
-            stalled_mode = True
-        j = int(candidates[0])  # Bland: lowest eligible index
+            return STATUS_OPTIMAL, iters
+        j = int(candidates[0])  # Bland: lowest eligible index enters
         col = tab[:, j]
         rows = np.flatnonzero(col > _RATIO_TOL)
         if rows.size == 0:
             if since_refactor > 0 and _refactor(tab, basis, ext, rhs):
                 since_refactor = 0
                 continue
-            return "unbounded", iters
+            return STATUS_UNBOUNDED, iters
         ratios = tab[rows, n] / col[rows]
         best = float(np.min(ratios))
         ties = rows[ratios <= best + 1e-9 * max(1.0, abs(best))]
-        if stalled_mode:
-            # Bland: leave on the smallest basic variable index
-            leave = int(ties[np.argmin(np.asarray(basis)[ties])])
-        else:
-            leave = int(ties[np.argmax(col[ties])])
+        # Bland: the tied row with the lowest basic variable index leaves
+        leave = int(ties[np.argmin(np.asarray(basis)[ties])])
         piv = tab[leave, j]
         tab[leave, :] /= piv
         other = np.arange(m) != leave
@@ -119,16 +96,10 @@ def _pivot_loop(tab, basis, cost, ext, rhs):
         basis[leave] = j
         last = tab[:, n]
         last[(last < 0.0) & (last > -1e-7)] = 0.0
-        obj = float(cost[basis] @ last)
-        if obj < prev_obj - 1e-10 * max(1.0, abs(prev_obj)):
-            stall = 0
-        else:
-            stall += 1
-        prev_obj = obj
         iters += 1
         since_refactor += 1
         if iters >= max_iterations:
-            return "iteration_limit", iters
+            return STATUS_ITERATION_LIMIT, iters
 
 
 def resume_phase2(cost, a_eq, b_eq, basis) -> SimplexResult:
@@ -154,7 +125,7 @@ def resume_phase2(cost, a_eq, b_eq, basis) -> SimplexResult:
     if float(np.min(tab[:, -1], initial=0.0)) < -1e-9:
         return SimplexResult(STATUS_INFEASIBLE, None, np.nan, None, 0)
     status, iters = _pivot_loop(tab, basis, c, a, b)
-    if status != "optimal":
+    if status != STATUS_OPTIMAL:
         return SimplexResult(status, None, np.nan, None, iters)
     x = np.zeros(n)
     for row, var in enumerate(basis):

@@ -71,6 +71,31 @@ def nearly_parallel_triple(eps=1e-4):
     )
 
 
+def near_duplicate_ensemble(dim, count, rank, pert, seed):
+    """count states (G G') / tr, G = base + pert N, sharing one complex dim x rank base.
+
+    base and every N are standard complex Gaussian draws, base first, from
+    numpy's default_rng(seed); the prior is uniform.
+    """
+    rng = np.random.default_rng(seed)
+
+    def gauss():
+        return rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+
+    base = gauss()
+    mats = []
+    for _ in range(count):
+        g = base + pert * gauss()
+        mats.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    return Ensemble.uniform(DensityOperator.stack(mats))
+
+
+# (dim, count, rank, pert, seed) of the 144 near-duplicate ensembles.
+NEAR_DUPLICATE_FAMILY = tuple(
+    itertools.product((2, 4, 8), (2, 3, 5), (1, 2), (0.3, 0.1, 0.03, 0.01), (0, 1))
+)
+
+
 def povm_payoff(e, elements):
     """sum_y max_x tr(rho_x F_y): the unweighted guessing payoff."""
     total = 0.0

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import nearly_parallel_triple, random_ensemble
+from helpers import near_duplicate_ensemble, nearly_parallel_triple, random_ensemble
 from qleak.channels import apply
 from qleak.cli import (
     SWEEP_HEADER,
@@ -491,29 +491,31 @@ def test_leakage_iteration_cap_exits_three(tmp_path, monkeypatch, capsys):
     assert re.search(r"maximal Q \d+\.\d{6} bits, gap \d\.\de[-+]\d\d, 1 iterations(;|$)", line)
 
 
-def _near_duplicate_pair():
-    """Two rank-2 states in d = 4, each a 1% perturbation of one shared factor."""
-    rng = np.random.default_rng(0)
-    base = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    mats = []
-    for _ in range(2):
-        g = base + 0.01 * (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
-        mats.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
-    return Ensemble.uniform(DensityOperator.stack(mats))
-
-
 def test_leakage_certifies_a_near_duplicate_pair(tmp_path, capsys):
     # The square-root measurement's elements used to fail the Hermitian
     # input check here (asymmetry 1.0e-12), so the command exited 2.
     path = tmp_path / "near.json"
-    path.write_text(json.dumps(ensemble_to_json(_near_duplicate_pair())))
+    path.write_text(json.dumps(ensemble_to_json(near_duplicate_ensemble(4, 2, 2, 0.01, seed=0))))
     assert main(["leakage", "--input", str(path)]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     assert re.search(r"^barycentric B +\d\.\d{6} +\d\.\d\de-\d\d  weights ", captured.out, re.M)
 
 
+def test_leakage_certifies_b_on_two_close_pure_states(tmp_path, capsys):
+    # B's upper value 2 was exact, but LMI violations between -1e-9 and
+    # -1e-12 went uncut, so the lower bound lagged and B capped with a gap
+    # of 2.9e-6 (exit 3).
+    e = Ensemble.uniform(DensityOperator.pure_stack([[1, 0], [math.cos(0.02), math.sin(0.02)]]))
+    path = tmp_path / "close.json"
+    path.write_text(json.dumps(ensemble_to_json(e)))
+    assert main(["leakage", "--input", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_leakage_exits_three_on_a_crossed_bracket(tmp_path, capsys):
+    # B caps here with an honest bracket (log2 3 bits, gap 2.5e-3); a
+    # crossed one would also exit 3, as a solver error.
     path = tmp_path / "triple.json"
     path.write_text(json.dumps(ensemble_to_json(nearly_parallel_triple())))
     assert main(["leakage", "--input", str(path)]) == 3

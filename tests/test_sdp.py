@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from helpers import (
+    NEAR_DUPLICATE_FAMILY,
     diagonal_weights_value,
     fixed_point_payoff,
+    near_duplicate_ensemble,
     nearly_parallel_triple,
     random_ensemble,
     worst_lmi_eigenvalue,
@@ -257,6 +259,28 @@ def test_weights_form_never_reports_a_crossed_bracket():
     else:
         assert sol.lower_bound <= sol.value * (1.0 + 1e-12)
         assert sol.status != STATUS_SOLVED or sol.value >= 3.0 * (1.0 - 1e-6)
+
+
+def test_weights_form_repairs_a_direction_below_the_support_threshold():
+    # The states' sum has an eigenvalue 4.9e-10 times its largest, under
+    # SUPPORT_RTOL; a lift that took that direction for kernel returned a
+    # value below the optimum 3 and crossed its own lower bound.
+    sol = solve(weights_program(nearly_parallel_triple().states))
+    assert sol.value >= 3.0 * (1.0 - 1e-12)
+    assert sol.lower_bound <= sol.value
+
+
+def test_weights_form_brackets_the_near_duplicate_family():
+    # 144 seeded ensembles of states within 1-30% of one shared factor; with
+    # cuts only past -1e-9 the LMI violations the lift paid for went uncut
+    # and 19 of them ended iteration_cap.
+    capped = []
+    for key in NEAR_DUPLICATE_FAMILY:
+        sol = solve(weights_program(near_duplicate_ensemble(*key).states))
+        assert sol.lower_bound <= sol.value, key
+        if sol.status != STATUS_SOLVED:
+            capped.append(key)
+    assert len(capped) <= 2, capped
 
 
 def test_dominating_form_certifies_at_dimension_sixty_four():

@@ -131,3 +131,46 @@ def test_warm_start_with_stale_basis_reports_infeasible_for_fallback():
     b = np.array([1.0])
     res = resume_phase2(np.ones(2), a, b, [5])
     assert res.status == STATUS_INFEASIBLE
+
+
+def test_beale_cycling_lp_ends_optimal():
+    # Beale (Naval Res. Logist. Q. 2, 269, 1955): the most negative reduced
+    # cost entering, ties leaving from the top row, cycles from the slack
+    # basis through six degenerate bases.
+    cost = np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
+    a = np.array(
+        [
+            [1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+            [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+        ]
+    )
+    res = _check_against_oracle(cost, a, np.array([0.0, 0.0, 1.0]), [0, 1, 2])
+    assert res.status == STATUS_OPTIMAL
+    assert res.objective == pytest.approx(-1.25)
+
+
+def test_kuhn_cycling_lp_ends_optimal():
+    # Kuhn's example, in Bazaraa, Jarvis and Sherali, Linear Programming and
+    # Network Flows: the same rule cycles through six bases here too.
+    cost = np.array([0.0, 0.0, 0.0, -2.0, -3.0, 1.0, 12.0])
+    a = np.array(
+        [
+            [1.0, 0.0, 0.0, -2.0, -9.0, 1.0, 9.0],
+            [0.0, 1.0, 0.0, 1.0 / 3.0, 1.0, -1.0 / 3.0, -2.0],
+            [0.0, 0.0, 1.0, 2.0, 3.0, -1.0, -12.0],
+        ]
+    )
+    res = _check_against_oracle(cost, a, np.array([0.0, 0.0, 2.0]), [0, 1, 2])
+    assert res.status == STATUS_OPTIMAL
+    assert res.objective == pytest.approx(-2.0)
+
+
+def test_lowest_basic_index_leaves_a_ratio_tie():
+    # Column 2 enters and both rows tie at ratio 1.  Bland's rule sends out
+    # x0, the lower basic index, which sits in row 1; the larger pivot
+    # element, 2, is in row 0.
+    a = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]])
+    res = resume_phase2(np.array([0.0, 0.0, -1.0]), a, np.array([2.0, 1.0]), [1, 0])
+    assert res.status == STATUS_OPTIMAL and res.iterations == 1
+    assert res.basis == [1, 2]
