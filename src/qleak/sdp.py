@@ -57,8 +57,6 @@ STATUS_ITERATION_CAP = "iteration_cap"
 
 # Every solve stops once (value - lower_bound) / max(1, value) <= GAP_TOL.
 GAP_TOL = 1e-6
-# Roundoff allowed when checking a returned witness against its LMIs.
-FEAS_TOL = 1e-9
 # Cuts beyond the seeded eigenbasis pool past which the weights form stops
 # as iteration_cap.
 _MAX_CUTS = 2000

@@ -15,6 +15,9 @@ from qleak.divergences import ProbVector
 from qleak.leakage import Ensemble
 from qleak.linalg import DensityOperator, HermitianOperator, operator_power, random_density
 
+# Roundoff allowed when checking a returned witness against its LMIs.
+FEAS_TOL = 1e-9
+
 
 def brute_force_lp(cost, a_eq, b_eq, tol=1e-9):
     """Standard-form minimum by basic-solution enumeration.

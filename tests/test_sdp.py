@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    FEAS_TOL,
     NEAR_DUPLICATE_FAMILY,
     diagonal_weights_value,
     fixed_point_payoff,
@@ -29,7 +30,6 @@ from qleak.linalg import (
     trace_distance,
 )
 from qleak.sdp import (
-    FEAS_TOL,
     STATUS_ITERATION_CAP,
     STATUS_SOLVED,
     _seeded_pool,
@@ -221,6 +221,24 @@ def test_weights_form_certifies_past_the_seeding_cap(dim, count, seed):
     assert sol.relative_gap <= 1e-6 + 1e-12
     assert sol.lower_bound <= sol.value
     assert worst_lmi_eigenvalue(program.states, sol.primal) >= -5 * FEAS_TOL
+
+
+def test_weights_form_certifies_through_long_simplex_walks(monkeypatch):
+    # Its relaxations walk up to 100 pivots, so a witness that drifted on
+    # the way would show here.
+    e = random_ensemble(16, 16, seed=0)
+    pivots = []
+    real = sdp.resume_phase2
+
+    def counted(cost, a_eq, b_eq, basis):
+        res = real(cost, a_eq, b_eq, basis)
+        pivots.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(sdp, "resume_phase2", counted)
+    sol = solve(weights_program(e.states))
+    assert sol.status == STATUS_SOLVED and max(pivots) > 64
+    assert worst_lmi_eigenvalue(e.states, sol.primal) >= -1e-12
 
 
 # Ensembles on which the earlier cutting-plane form of Q failed or crawled:

@@ -133,6 +133,41 @@ def test_warm_start_with_stale_basis_reports_infeasible_for_fallback():
     assert res.status == STATUS_INFEASIBLE
 
 
+def test_negative_basis_index_is_out_of_range():
+    # Index -2 would reach column 0 by wraparound.
+    res = resume_phase2([1.0, 2.0], [[1.0, 1.0]], [1.0], [-2])
+    assert res.status == STATUS_INFEASIBLE and res.iterations == 0
+
+
+def test_a_refused_start_costs_one_basis_solve(monkeypatch):
+    # The slack basis puts -1 on x0, so the start is refused after solving
+    # for x_B alone: no multipliers, no column and no other right-hand side.
+    shapes = []
+    real = np.linalg.solve
+
+    def recorded(mat, rhs):
+        shapes.append((np.shape(mat), np.shape(rhs)))
+        return real(mat, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    res = resume_phase2(np.ones(3), a, np.array([-1.0, 2.0]), [0, 1])
+    assert res.status == STATUS_INFEASIBLE
+    assert shapes == [((2, 2), (2,))]
+
+
+def test_long_walk_from_the_slack_basis_ends_certified():
+    # 233 pivots, past any short-walk test, on a 16-state cut LP.
+    rng = np.random.default_rng(0)
+    g = rng.uniform(0.0, 1.0, size=(400, 16))
+    cost, a, b = _cut_lp(g, rng.uniform(0.0, 1.0, size=400))
+    res = resume_phase2(cost, a, b, list(range(16)))
+    assert res.status == STATUS_OPTIMAL and res.iterations > 64
+    assert float(np.min(cost - a.T @ res.multipliers)) >= -1e-9
+    assert abs(float(b @ res.multipliers) - res.objective) <= 1e-9
+    assert float(np.max(np.abs(a @ res.x - b))) <= 1e-9
+
+
 def test_beale_cycling_lp_ends_optimal():
     # Beale (Naval Res. Logist. Q. 2, 269, 1955): the most negative reduced
     # cost entering, ties leaving from the top row, cycles from the slack
